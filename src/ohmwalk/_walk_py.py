@@ -1,8 +1,9 @@
-"""Pure-Python walk kernel: the reference implementation of the trial
-loop, bit-for-bit interchangeable with the compiled `_walk_cy` kernel.
+"""Pure-Python walk kernel: the executable specification of the trial
+loop.  `_walk_np` is the kernel simulate_fpt runs; the tests hold it to
+bit-for-bit equal sums with this one.
 
-RNG contract (identical in both kernels, and part of the public
-reproducibility promise):
+RNG contract (shared by both, and part of the public reproducibility
+promise):
 
 * stream: SplitMix64; state advances by the golden-ratio increment
   0x9E3779B97F4A7C15 per draw and is whitened by the standard two-round

@@ -164,7 +164,7 @@ def check_foster(n: int, tol: float = 1e-8) -> CheckResult:
 def check_monte_carlo(n: int, l: int, trials: int, seed: int) -> CheckResult:
     g = complete_minus_opposite(n)
     est = simulate_fpt(g, 0, l, WalkConfig(trials=trials, seed=seed))
-    z = (est.mean - float(fpt_closed(n, l))) / est.stderr
+    z = est.z_score(float(fpt_closed(n, l)))
     ok = est.valid and abs(z) <= 4.0
     return CheckResult(
         "monte_carlo", n, abs(z), ok, detail=f"l={l} trials={trials} z={z:+.2f}"
@@ -181,6 +181,8 @@ def run_suite(
     once (n=7, or n=5 if that's all there is) to keep the suite quick."""
     if n_max < 5:
         raise ValueError("n_max must be >= 5")
+    if mc_trials < 2:
+        raise ValueError("Monte Carlo trials must be >= 2 for a z-test")
     results: list[CheckResult] = []
     for n in range(5, n_max + 1, 2):
         results.append(check_sin_identity(n, tol))

@@ -139,10 +139,12 @@ def cmd_simulate(args) -> int:
     g = complete_minus_opposite(args.n)
     if not 1 <= args.l <= args.n - 1:
         raise ValueError(f"l must be in [1, {args.n - 1}], got {args.l}")
+    if args.trials < 2:
+        raise ValueError("trials must be >= 2 for a z-test")
     cfg = WalkConfig(trials=args.trials, seed=args.seed, max_steps=args.max_steps)
     est = simulate_fpt(g, 0, args.l, cfg)
     exact = fpt_closed(args.n, args.l)
-    z = (est.mean - float(exact)) / est.stderr if est.stderr > 0 else 0.0
+    z = est.z_score(float(exact))
     record = {
         "command": "simulate",
         "inputs": {"n": args.n, "l": args.l, "trials": args.trials, "seed": args.seed},
@@ -161,7 +163,7 @@ def cmd_simulate(args) -> int:
     row = [args.n, args.l, args.trials, args.seed, repr(est.mean), repr(est.stderr),
            repr(z), record["exact"], est.truncated]
     _emit(args, record, plain, [header, row])
-    if est.truncated > 0 or abs(z) > 4.0:
+    if est.truncated > 0 or not abs(z) <= 4.0:  # a NaN z fails
         return EXIT_ORACLE
     return EXIT_OK
 
@@ -267,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,10 +3,10 @@ commute, and mean-first-passage times for the complete-minus-opposite
 family, an exact first-step-analysis oracle, and a seeded Monte Carlo
 simulator.
 
-The simulator's inner loop is compiled (`_walk_cy`) when the extension is
-available and falls back to the pure-Python kernel otherwise; both are
-bit-for-bit equivalent, so results never depend on the backend, on trial
-chunking, or on execution order.
+The simulator's trial loop is the numpy lockstep kernel `_walk_np`; the
+pure-Python `_walk_py` is its executable specification, and the tests hold
+the two to bit-for-bit equal sums, so results never depend on trial
+chunking or on execution order.
 """
 
 from __future__ import annotations
@@ -17,27 +17,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _walk_np as _kernel
 from .circulant import CirculantGraph
 from .resistance import total_effective_resistance, two_point_resistance
 
-try:
-    from . import _walk_cy as _kernel
-
-    _BACKEND = "cython"
-except ImportError:  # extension not built; pure Python is ~30x slower
-    from . import _walk_py as _kernel
-
-    _BACKEND = "python"
-
-# simulate() guards this so steps*steps stays within int64 in the kernel
+# WalkConfig rejects max_steps at or above this; simulate_fpt clamps below it
 _MAX_STEPS_LIMIT = 2**31
 
 EXACT_SOLVE_LIMIT = 60  # first-step analysis switches to float LU above this
 
 
 def kernel_backend() -> str:
-    """Which walk kernel got selected at import: 'cython' or 'python'."""
-    return _BACKEND
+    """Which walk kernel simulate_fpt runs: always 'numpy'."""
+    return "numpy"
 
 
 def fpt_closed(n: int, l: int) -> Fraction:
@@ -157,6 +149,13 @@ class FptEstimate:
     @property
     def valid(self) -> bool:
         return self.truncated == 0
+
+    def z_score(self, exact: float) -> float:
+        """(mean - exact) / stderr; NaN when the stderr is 0 or infinite
+        (fewer than two trials), so that no bound on |z| can pass."""
+        if 0 < self.stderr < math.inf:
+            return (self.mean - exact) / self.stderr
+        return math.nan
 
 
 def simulate_fpt(

@@ -128,6 +128,21 @@ class TestSimulate:
                            "--trials", "10", "--seed", "0")
         assert code == 2
 
+    def test_one_trial_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "7", "--l", "1", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_stderr_fails(self, capsys):
+        # both trials take 2 steps: the stderr is 0 and z is undefined
+        code, out, _ = run(capsys, "simulate", "--n", "5", "--l", "2",
+                           "--trials", "2", "--seed", "13", "--format", "json")
+        assert code == 3
+        record = json.loads(out)
+        assert record["stderr"] == "0.0"
+        assert record["z"] == "nan"
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
@@ -153,6 +168,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n-max", "5", "--trials", "2000")
         assert code == 0
 
+    def test_one_trial_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-max", "7", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_stderr_fails_monte_carlo_row(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-max", "5", "--trials", "2",
+                           "--seed", "13")
+        assert code == 3
+        row = next(line for line in out.splitlines() if line.startswith("monte_carlo"))
+        assert "FAIL" in row and "z=+nan" in row
+        assert "FAILURES PRESENT" in out
+
 
 class TestPlumbing:
     def test_out_file(self, capsys, tmp_path):
@@ -162,6 +191,13 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["exact"] == "10/1"
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "record.json"
+        code, out, err = run(capsys, "total", "--n", "5", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

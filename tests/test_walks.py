@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohmwalk import _walk_py
+from ohmwalk import _walk_np, _walk_py
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
 from ohmwalk.spectral import spectral_resistance
 from ohmwalk.walks import (
@@ -18,10 +18,27 @@ from ohmwalk.walks import (
     simulate_fpt,
 )
 
-try:
-    from ohmwalk import _walk_cy
-except ImportError:
-    _walk_cy = None
+# Trial 0's first draw under this seed is 2**64 - 1, which the degree-48
+# graph at n = 51 rejects (2**64 mod 48 != 0), so it runs the redraw path.
+REJECTING_SEED = 2295574122455614247
+
+# (n, l, trials, seed, max_steps, trial_offset) on complete_minus_opposite(n)
+# with source 0, and the (total, total_sq, truncated) that _walk_py gave for
+# them before the numpy kernel existed: they pin the RNG contract itself,
+# not only the agreement of two kernels.
+KNOWN_ANSWERS = [
+    ((9, 4, 3000, 0, 8100, 0), (27214, 408464, 0)),
+    ((7, 3, 16500, 2**64 - 1, 4900, 12345), (121611, 1483047, 0)),
+    ((5, 2, 2000, 31337, 2500, 12345), (11821, 110991, 0)),
+    ((11, 5, 1000, 42, 10, 0), (7060, 59240, 384)),
+    ((51, 25, 400, 2**63, 260100, 16380), (20662, 2044038, 0)),
+    ((51, 1, 300, REJECTING_SEED, 260100, 0), (13679, 1152701, 0)),
+]
+
+
+def _kernel_args(n, l, trials, seed, max_steps, offset=0):
+    offs = complete_minus_opposite(n).neighbor_offsets()
+    return (n, offs, 0, l, trials, seed, max_steps, offset)
 
 
 class TestClosedForms:
@@ -150,19 +167,50 @@ class TestSimulate:
         combined = tuple(sum(vals) for vals in zip(*parts))
         assert combined == whole
 
-    @pytest.mark.skipif(_walk_cy is None, reason="compiled kernel not built")
     def test_kernel_parity(self):
-        g = complete_minus_opposite(9)
-        offs = g.neighbor_offsets()
-        for seed in (0, 1, 2**63, 2**64 - 1):
-            args = (9, offs, 0, 4, 4000, seed, 8100)
-            assert _walk_py.run_trials(*args) == _walk_cy.run_trials(*args)
+        cases = [
+            (9, 4, 4000, seed, 8100) for seed in (0, 1, 2**63, 2**64 - 1)
+        ] + [
+            (11, 5, 500, 3, 10),  # truncating max_steps
+            (51, 25, 300, 8, 260100),  # degree 48: a rejection threshold
+        ]
+        for case in cases:
+            args = _kernel_args(*case)
+            assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
 
-    @pytest.mark.skipif(_walk_cy is None, reason="compiled kernel not built")
     def test_kernel_parity_with_offset(self):
         offs = cycle_graph(5).neighbor_offsets()
         args = (5, offs, 0, 2, 2000, 31337, 2500, 12345)
-        assert _walk_py.run_trials(*args) == _walk_cy.run_trials(*args)
+        assert _walk_py.run_trials(*args) == _walk_np.run_trials(*args)
+        # one call spanning a block boundary, truncating some trials
+        args = _kernel_args(7, 3, _walk_np.BLOCK + 300, 5, 12, 777)
+        assert _walk_py.run_trials(*args) == _walk_np.run_trials(*args)
+
+    def test_rejecting_seed_rejects_first_draw(self):
+        gamma, mask = _walk_py._GAMMA, (1 << 64) - 1
+        state = _walk_py._mix((REJECTING_SEED + gamma) & mask)
+        assert _walk_py._mix((state + gamma) & mask) == mask
+        assert (1 << 64) % complete_minus_opposite(51).degree != 0
+
+    @pytest.mark.parametrize("case, sums", KNOWN_ANSWERS)
+    def test_known_answers(self, case, sums):
+        args = _kernel_args(*case)
+        assert _walk_py.run_trials(*args) == sums
+        assert _walk_np.run_trials(*args) == sums
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 12).map(lambda k: 2 * k + 1),
+        seed=st.integers(0, 2**64 - 1),
+        offset=st.integers(0, 2**40),
+        trials=st.integers(1, 300),
+        max_steps=st.integers(1, 2000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_parity_property(self, data, n, seed, offset, trials, max_steps):
+        l = data.draw(st.integers(1, n - 1))
+        args = _kernel_args(n, l, trials, seed, max_steps, offset)
+        assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
 
     def test_estimates_within_stderr_band(self):
         cases = [(5, 2, 6.0), (7, 1, 76 / 13)]
@@ -200,4 +248,4 @@ class TestSimulate:
 
 
 def test_backend_reported():
-    assert kernel_backend() in ("cython", "python")
+    assert kernel_backend() == "numpy"
