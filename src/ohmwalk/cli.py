@@ -9,6 +9,7 @@ failure.  Output is byte-identical for identical inputs (seeds included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .checks import run_suite
 from .circulant import complete_minus_opposite
 from .resistance import resistance_report, total_effective_resistance
-from .spectral import eigenvalues_minus_opposite
+from .spectral import eigenvalues_minus_opposite, spectral_resistance
 from .exact import SequenceContext, bejaia_sequence, pisa_sequence
 from .walks import WalkConfig, fpt_closed, mfpt_closed, simulate_fpt
 
@@ -29,6 +30,10 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _rel_to_exact(exact: Fraction, oracle: float) -> float:
+    return abs(float(exact) - oracle) / max(abs(float(exact)), 1e-300)
+
+
 def _emit(args, record: dict, plain_lines: list[str], csv_rows: list[list]) -> None:
     if args.format == "json":
         text = json.dumps(record, indent=2)
@@ -36,11 +41,7 @@ def _emit(args, record: dict, plain_lines: list[str], csv_rows: list[list]) -> N
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
     else:
         text = "\n".join(plain_lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text, file=args.stream)
 
 
 def _scalar_record(command: str, inputs: dict, exact: Fraction, devs: dict) -> dict:
@@ -72,10 +73,9 @@ def _emit_scalar(args, record: dict) -> None:
 
 def cmd_resistance(args) -> int:
     rep = resistance_report(args.n, args.l)
-    exact_f = float(rep.exact)
     devs = {
-        "radical": abs(exact_f - rep.float_closed) / max(abs(exact_f), 1e-300),
-        "spectral": abs(exact_f - rep.spectral) / max(abs(exact_f), 1e-300),
+        "radical": _rel_to_exact(rep.exact, rep.float_closed),
+        "spectral": _rel_to_exact(rep.exact, rep.spectral),
     }
     record = _scalar_record("resistance", {"n": args.n, "l": args.l}, rep.exact, devs)
     _emit_scalar(args, record)
@@ -83,12 +83,9 @@ def cmd_resistance(args) -> int:
 
 
 def cmd_fpt(args) -> int:
-    from .spectral import spectral_resistance
-
     exact = fpt_closed(args.n, args.l)
     g = complete_minus_opposite(args.n)
-    oracle = g.edge_count * spectral_resistance(g, args.l)
-    dev = abs(float(exact) - oracle) / max(abs(float(exact)), 1e-300)
+    dev = _rel_to_exact(exact, g.edge_count * spectral_resistance(g, args.l))
     record = _scalar_record("fpt", {"n": args.n, "l": args.l}, exact, {"spectral": dev})
     _emit_scalar(args, record)
     return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
@@ -97,8 +94,7 @@ def cmd_fpt(args) -> int:
 def cmd_mfpt(args) -> int:
     exact = mfpt_closed(args.n, args.variant)
     degree = args.n - 3 if args.variant == "corrected" else args.n - 1
-    oracle = degree * eigenvalues_minus_opposite(args.n).reciprocal_sum()
-    dev = abs(float(exact) - oracle) / max(abs(float(exact)), 1e-300)
+    dev = _rel_to_exact(exact, degree * eigenvalues_minus_opposite(args.n).reciprocal_sum())
     record = _scalar_record(
         "mfpt", {"n": args.n, "variant": args.variant}, exact, {"spectral": dev}
     )
@@ -113,8 +109,7 @@ def cmd_mfpt(args) -> int:
 
 def cmd_total(args) -> int:
     exact = total_effective_resistance(args.n)
-    oracle = args.n * eigenvalues_minus_opposite(args.n).reciprocal_sum()
-    dev = abs(float(exact) - oracle) / max(abs(float(exact)), 1e-300)
+    dev = _rel_to_exact(exact, args.n * eigenvalues_minus_opposite(args.n).reciprocal_sum())
     record = _scalar_record("total", {"n": args.n}, exact, {"spectral": dev})
     _emit_scalar(args, record)
     return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
@@ -265,10 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact fractions and sequence terms run to many thousands of digits
+    if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # --out is opened before any work, so an unwritable path fails fast
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
+            args.stream = stream
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

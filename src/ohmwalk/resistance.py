@@ -125,7 +125,8 @@ def eigentime_identity_check(n: int) -> tuple[float, Fraction]:
     return lhs, rhs
 
 
-def _rel_dev(x: float, y: float) -> float:
+def rel_dev(x: float, y: float) -> float:
+    """|x - y| relative to the larger magnitude; 0 when both are 0."""
     scale = max(abs(x), abs(y))
     return abs(x - y) / scale if scale else 0.0
 
@@ -152,8 +153,8 @@ def resistance_report(n: int, l: int) -> ResistanceReport:
     spec = spectral_resistance(complete_minus_opposite(n), l)
     as_float = float(exact)
     dev = max(
-        _rel_dev(as_float, closed),
-        _rel_dev(as_float, spec),
-        _rel_dev(closed, spec),
+        rel_dev(as_float, closed),
+        rel_dev(as_float, spec),
+        rel_dev(closed, spec),
     )
     return ResistanceReport(n, l, exact, closed, spec, dev)

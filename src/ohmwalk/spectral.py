@@ -1,7 +1,7 @@
 """Double-precision spectral machinery: circulant Laplacian eigenvalues,
-the eigenvalue-sum formula for two-point resistance, trigonometric power
-sums with their congruence corrections, normalized Chebyshev evaluation,
-and truncated-series identity checks.
+the eigenvalue-sum formula for two-point resistance (every distance from
+one FFT), trigonometric power sums with their congruence corrections,
+normalized Chebyshev evaluation, and truncated-series identity checks.
 
 Exactness lives elsewhere (`exact`, `resistance`); this module is the
 floating-point oracle side.  Binomial coefficients are computed with
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .circulant import CirculantGraph
 
@@ -30,23 +32,24 @@ class EigenSpectrum:
         return sum(1.0 / lam for lam in self.values[1:])
 
 
+def _mirror(half: np.ndarray, n: int) -> np.ndarray:
+    """Extend indices 0..n//2 to 0..n-1 by x[n-k] = x[k]."""
+    return np.concatenate([half, half[1 : (n + 1) // 2][::-1]])
+
+
 def eigenvalues_circulant(g: CirculantGraph) -> EigenSpectrum:
     """lambda_k = 4 * sum over jumps j of sin^2(pi*k*j/n).
 
     A jump of exactly n/2 (even n) reaches a single vertex, so it carries
-    weight 2 instead of 4.  Modes k and n-k share one evaluation, so the
-    mirror symmetry is exact.
+    weight 2 instead of 4.  All modes k <= n/2 are evaluated at once, one
+    pass per jump, and mirrored to n-k, so the mirror symmetry is exact.
     """
     n = g.n
-    vals = [0.0] * n
-    for k in range(1, n // 2 + 1):
-        lam = sum(
-            (2.0 if 2 * j == n else 4.0) * math.sin(math.pi * k * j / n) ** 2
-            for j in g.jumps
-        )
-        vals[k] = lam
-        vals[n - k] = lam
-    return EigenSpectrum(n, tuple(vals))
+    angles = np.pi * np.arange(n // 2 + 1)
+    half = np.zeros(n // 2 + 1)
+    for j in g.jumps:
+        half += (2.0 if 2 * j == n else 4.0) * np.sin(angles * j / n) ** 2
+    return EigenSpectrum(n, tuple(_mirror(half, n).tolist()))
 
 
 def eigenvalues_minus_opposite(n: int) -> EigenSpectrum:
@@ -66,9 +69,31 @@ def eigenvalues_minus_opposite(n: int) -> EigenSpectrum:
     return EigenSpectrum(n, tuple(vals))
 
 
+def all_resistances(g: CirculantGraph) -> np.ndarray:
+    """Two-point resistance R(l) for every distance l = 0..n-1.
+
+    With 4 sin^2(pi*k*l/n) = 2 - 2 cos(2*pi*k*l/n), the eigenvalue sum
+    (1/n) * sum_k 4 sin^2(pi*k*l/n) / lambda_k becomes
+
+        R(l) = (2/n) * [sum_k 1/lambda_k - Re DFT(1/lambda)_l],
+
+    k = 0 left out, so one FFT gives every distance.  Distances l <= n/2
+    come from a real FFT and are mirrored to n-l, so R(l) == R(n-l) and
+    R(0) == 0 hold exactly.  The eigenvalues come from their sine form,
+    not from an FFT of the Laplacian's first row: that FFT loses the
+    relative accuracy of the small eigenvalues of sparse circulants.
+    """
+    n = g.n
+    inv = np.zeros(n)
+    inv[1:] = 1.0 / np.array(eigenvalues_circulant(g).values[1:])
+    half = (2.0 / n) * (inv.sum() - np.fft.rfft(inv).real)
+    half[0] = 0.0
+    return _mirror(half, n)
+
+
 def spectral_resistance(g: CirculantGraph, l: int) -> float:
-    """Two-point resistance between vertices at circular distance l, as the
-    eigenvalue sum (1/n) * sum_k 4 sin^2(pi*k*l/n) / lambda_k.
+    """Two-point resistance between vertices at circular distance l, read
+    from `all_resistances`.
 
     l is reduced to min(l, n-l) first, which makes the l <-> n-l symmetry
     hold to the last bit.
@@ -76,12 +101,7 @@ def spectral_resistance(g: CirculantGraph, l: int) -> float:
     n = g.n
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be in [1, {n - 1}], got {l}")
-    l = min(l, n - l)
-    lam = eigenvalues_circulant(g).values
-    return (
-        sum(4.0 * math.sin(math.pi * k * l / n) ** 2 / lam[k] for k in range(1, n))
-        / n
-    )
+    return float(all_resistances(g)[min(l, n - l)])
 
 
 # --- trigonometric power sums -------------------------------------------
@@ -96,26 +116,6 @@ def folded_alternating(j: int, n: int) -> int:
     p = 1
     while j - p * n >= 0:
         total += (-1) ** p * math.comb(2 * j, j - p * n)
-        p += 1
-    return total
-
-
-def folded_even(j: int, n: int) -> int:
-    """sum_{p>=1} C(2j, j - 2*p*n)."""
-    total = 0
-    p = 1
-    while j - 2 * p * n >= 0:
-        total += math.comb(2 * j, j - 2 * p * n)
-        p += 1
-    return total
-
-
-def folded_odd(j: int, n: int) -> int:
-    """sum_{p>=1} C(2j, j - (2p-1)*n)."""
-    total = 0
-    p = 1
-    while j - (2 * p - 1) * n >= 0:
-        total += math.comb(2 * j, j - (2 * p - 1) * n)
         p += 1
     return total
 
@@ -142,14 +142,15 @@ def sin_power_sum_direct(n: int, k: int) -> float:
 def cos_odd_power_sum(n: int, k: int) -> float:
     """Closed form of sum_{m=1..(n-1)/2} cos^(2k)((2m-1)*pi/2n), odd n.
 
-    Corrections split into even and odd fold indices with opposite signs.
+    The correction is the alternating fold: even fold indices add, odd
+    ones subtract.
     """
     if n < 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 5, got {n}")
     if k < 1:
         raise ValueError("exponent k must be >= 1")
     value = Fraction(n * math.comb(2 * k, k), 2 ** (2 * k + 1))
-    corr = folded_even(k, n) - folded_odd(k, n)
+    corr = folded_alternating(k, n)
     if corr:
         value += Fraction(n, 4**k) * corr
     return float(value)
@@ -232,8 +233,8 @@ def series_identities(n: int, truncation: int, tol: float = 1e-8) -> SeriesRepor
 
         sum_J C(2J,J)/n^J                           -> s
         sum_J [folded_alternating(J, n)]/n^J        -> -s*q^n/(1+q^n)
-        sum_J [folded_even(J, n)]/n^J               ->  s*q^2n/(1-q^2n)
-        sum_J [folded_odd(J, n)]/n^J                ->  s*q^n/(1-q^2n)
+        sum_J [sum_{p>=1} C(2J, J - 2pn)]/n^J       ->  s*q^2n/(1-q^2n)
+        sum_J [sum_{p>=1} C(2J, J - (2p-1)n)]/n^J   ->  s*q^n/(1-q^2n)
 
     The folded inner sums have no known closed form and are evaluated
     directly.  Truncation below ~50n risks tripping the per-identity `ok`

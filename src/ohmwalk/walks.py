@@ -82,12 +82,8 @@ def markov_fpt(
     deg = g.degree
     if exact:
         return _solve_fpt_exact(g, target, deg)
-    mat = np.zeros((n, n))
+    mat = g.laplacian_dense().astype(float)
     rhs = np.full(n, float(deg))
-    for i in range(n):
-        mat[i, i] = deg
-        for w in g.neighbors(i):
-            mat[i, w] -= 1.0
     mat[target, :] = 0.0
     mat[target, target] = 1.0
     rhs[target] = 0.0

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from ohmwalk import cli
+from ohmwalk.resistance import two_point_resistance
 
 
 def run(capsys, *argv):
@@ -198,6 +200,27 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_unwritable_out_fails_before_any_work(self, capsys, tmp_path, monkeypatch):
+        def run_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "verify", "--n-max", "101", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exact_output_has_no_digit_limit(self, capsys):
+        # the numerator and denominator run past Python's default
+        # 4300-digit limit on int <-> str conversion
+        code, out, err = run(capsys, "resistance", "--n", "3001", "--l", "1",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert max(len(part) for part in record["exact"].split("/")) > 4300
+        assert Fraction(record["exact"]) == two_point_resistance(3001, 1)
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

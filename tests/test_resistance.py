@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ohmwalk.circulant import complete_minus_opposite
 from ohmwalk.exact import SequenceContext, conjugate_ratio
@@ -15,7 +17,11 @@ from ohmwalk.resistance import (
     two_point_resistance,
     two_point_resistance_radical,
 )
-from ohmwalk.spectral import eigenvalues_minus_opposite
+from ohmwalk.spectral import (
+    eigenvalues_circulant,
+    eigenvalues_minus_opposite,
+    spectral_resistance,
+)
 
 
 class TestTwoPointResistance:
@@ -148,3 +154,17 @@ class TestReport:
         for n in (5, 9, 33, 77):
             for l in (1, (n - 1) // 2, n - 1):
                 assert resistance_report(n, l).valid
+
+
+@given(n=st.integers(2, 200).map(lambda k: 2 * k + 1))
+@example(n=401)
+@settings(max_examples=12, deadline=None)
+def test_exact_spectral_and_radical_routes_agree(n):
+    # odd n <= 401, every distance l, on both sides of the l <-> n-l fold
+    g = complete_minus_opposite(n)
+    for l in range(1, n):
+        exact = float(two_point_resistance(n, l))
+        assert spectral_resistance(g, l) == pytest.approx(exact, rel=1e-13, abs=0)
+        assert two_point_resistance_radical(n, l) == pytest.approx(exact, rel=1e-13, abs=0)
+    kirchhoff = n * eigenvalues_circulant(g).reciprocal_sum()
+    assert float(total_effective_resistance(n)) == pytest.approx(kirchhoff, rel=1e-13, abs=0)

@@ -11,6 +11,7 @@ from ohmwalk.circulant import (
 )
 from ohmwalk.exact import SequenceContext, pisa
 from ohmwalk.spectral import (
+    all_resistances,
     chebyshev_normalized,
     cos_odd_power_sum,
     cos_odd_power_sum_direct,
@@ -216,3 +217,45 @@ class TestSeriesIdentities:
     def test_domain_validated(self):
         with pytest.raises(ValueError):
             series_identities(6, 100)
+
+
+class TestAllResistances:
+    @pytest.mark.parametrize(
+        "g", [complete_minus_opposite(31), CirculantGraph(20, (1, 4, 10)), cycle_graph(17)]
+    )
+    def test_matches_per_mode_and_per_distance_loops(self, g):
+        # the plain loops over modes k and distances l, as references
+        n = g.n
+        lam = [
+            sum((2 if 2 * j == n else 4) * math.sin(math.pi * k * j / n) ** 2 for j in g.jumps)
+            for k in range(n)
+        ]
+        assert eigenvalues_circulant(g).values == pytest.approx(lam, rel=1e-14, abs=0)
+        r = all_resistances(g)
+        for l in range(1, n):
+            loop = sum(4 * math.sin(math.pi * k * l / n) ** 2 / lam[k] for k in range(1, n)) / n
+            assert r[l] == pytest.approx(loop, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("jumps", [(1, 3, 4), (1, 4, 6)])
+    def test_against_pseudoinverse(self, jumps):
+        # (1, 4, 6) has the half-turn jump 6 = n/2, which reaches one vertex
+        g = CirculantGraph(12, jumps)
+        pinv = np.linalg.pinv(g.laplacian_dense().astype(float))
+        oracle = [pinv[0, 0] + pinv[l, l] - 2 * pinv[0, l] for l in range(12)]
+        assert np.max(np.abs(all_resistances(g) - oracle)) < 1e-12
+
+    def test_zero_distance_and_mirror_are_exact(self):
+        # a plain FFT misses both by rounding once n reaches the thousands
+        for g in (CirculantGraph(12, (1, 4, 6)), CirculantGraph(1000, (1, 7, 500)),
+                  complete_minus_opposite(1001), cycle_graph(10001)):
+            r = all_resistances(g)
+            assert r.shape == (g.n,) and r[0] == 0.0
+            assert np.array_equal(r[1:], r[:0:-1])
+
+    def test_sparse_cycle_keeps_small_eigenvalues_accurate(self):
+        # the smallest eigenvalues of a long cycle are ~4e-7; taking them
+        # from an FFT of the Laplacian's first row puts R off by ~5e-6 here
+        n = 10001
+        l = np.arange(n)
+        r = all_resistances(cycle_graph(n))
+        assert np.max(np.abs(r - l * (n - l) / n)) < 1e-11
