@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import complete_minus_opposite
-from .exact import SequenceContext, bejaia, conjugate_ratio, sequence_pair
+from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, sequence_pair
 from .resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
@@ -105,9 +105,15 @@ def check_symmetry_identity(n: int, tol: float) -> CheckResult:
 
 def check_sequence_identities(n: int, tol: float, upto: int = 60) -> CheckResult:
     ctx = SequenceContext(n)
-    bs, ps = sequence_pair(ctx, 2 * upto + 1)
+    bs, ps = sequence_pair(ctx, max(2 * upto + 1, n))
     d = ctx.d
-    ok = True
+    # binary powering and the half-index pair against the O(n) recursion
+    ok = all(power_pair(ctx, k) == (bs[k], ps[k]) for k in range(len(bs)))
+    u, w = half_index_pair(ctx)
+    ok &= n * w * w - (n - 4) * u * u == 4
+    ok &= bs[n] == u * w
+    ok &= ps[n] + 2 == n * w * w
+    ok &= conjugate_ratio(ctx) == Fraction(d * bs[n], ps[n] + 2)
     for l in range(upto + 1):
         ok &= ps[l] ** 2 - d * bs[l] ** 2 == 4
         ok &= d * bs[l] ** 2 == ps[2 * l] - 2

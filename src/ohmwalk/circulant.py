@@ -59,12 +59,13 @@ class CirculantGraph:
 
     def laplacian_dense(self) -> np.ndarray:
         """Dense integer Laplacian L = D - A; row i is row 0 shifted by i."""
-        lap = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            lap[i, i] = self.degree
-            for w in self.neighbors(i):
-                lap[i, w] = -1
-        return lap
+        n = self.n
+        offsets = np.array(self.neighbor_offsets())
+        row = np.zeros(2 * n, dtype=np.int64)  # row 0, twice
+        row[[0, n]] = self.degree
+        row[offsets] = row[offsets + n] = -1
+        # L[i, j] = row[j - i + n]: the length-n window starting at n - i
+        return np.lib.stride_tricks.sliding_window_view(row, n)[n:0:-1].copy()
 
 
 def cycle_graph(n: int) -> CirculantGraph:

@@ -11,9 +11,18 @@ generates two companion integer sequences via phi**l = (P_l + B_l*sqrt(D))/2:
     P_0 = 2, P_1 = n-2,  P_l = (n-2)*P_{l-1} - P_{l-2}   (pisa)
 
 For n = 5 these are the bisected Fibonacci (A001906) and Lucas (A005248)
-numbers.  Everything in this module is exact: integers are unbounded and
-rationals are `fractions.Fraction` (always lowest terms, positive
-denominator).
+numbers.  A single term comes from binary powering of phi on integer
+pairs (`power_pair`, O(log l) multiplies); `sequence_pair` lists terms.
+
+The half root psi = (sqrt(n) + sqrt(n-4))/2 has psi**2 = phi, so with
+j = (n-1)/2, psi**n = psi * phi**j = (w_n*sqrt(n) + u_n*sqrt(n-4))/2 where
+
+    u_n = (P_j + n*B_j)/2,   w_n = (P_j + (n-4)*B_j)/2      (half_index_pair)
+
+and B_n = u_n*w_n, P_n + 2 = n*w_n**2, n*w_n**2 - (n-4)*u_n**2 = 4.  The
+closed forms therefore need only half-size integers.  Everything in this
+module is exact: integers are unbounded and rationals are
+`fractions.Fraction` (always lowest terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -145,6 +154,32 @@ def sequence_pair(ctx: SequenceContext, upto: int) -> tuple[list[int], list[int]
     return bs[: upto + 1], ps[: upto + 1]
 
 
+def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
+    """(B_k, P_k) for k >= 0 by binary powering of phi on integer pairs.
+
+    Squaring maps (B, P) to (B*P, (P**2 + d*B**2)/2), which is P**2 - 2 by
+    the norm P**2 - d*B**2 = 4; multiplying by phi maps (B, P) to
+    ((m*B + P)/2, (m*P + d*B)/2) with m = n - 2.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    m, d = ctx.n - 2, ctx.d
+    b, p = 0, 2
+    for bit in bin(k)[2:]:
+        b, p = b * p, p * p - 2
+        if bit == "1":
+            b, p = (m * b + p) // 2, (m * p + d * b) // 2
+    return b, p
+
+
+def half_index_pair(ctx: SequenceContext) -> tuple[int, int]:
+    """(u_n, w_n) from (B_j, P_j) with j = (n-1)/2; see the module docstring.
+    gcd(u_n, w_n) divides 4, since n*w_n**2 - (n-4)*u_n**2 = 4."""
+    n = ctx.n
+    b, p = power_pair(ctx, (n - 1) // 2)
+    return (p + n * b) // 2, (p + (n - 4) * b) // 2
+
+
 def bejaia(ctx: SequenceContext, l: int) -> int:
     """B_l: generalized bisected Fibonacci number for the context.
 
@@ -152,14 +187,12 @@ def bejaia(ctx: SequenceContext, l: int) -> int:
     """
     if l < 0:
         return -bejaia(ctx, -l)
-    return sequence_pair(ctx, max(l, 1))[0][l]
+    return power_pair(ctx, l)[0]
 
 
 def pisa(ctx: SequenceContext, l: int) -> int:
     """P_l: generalized bisected Lucas number; P_{-k} = P_k."""
-    if l < 0:
-        l = -l
-    return sequence_pair(ctx, max(l, 1))[1][l]
+    return power_pair(ctx, abs(l))[1]
 
 
 def bejaia_sequence(ctx: SequenceContext, count: int) -> list[int]:
@@ -212,8 +245,9 @@ def conjugate_ratio(ctx: SequenceContext) -> Fraction:
     """The exact value of sqrt(d) * (1 - phi_bar**n) / (1 + phi_bar**n).
 
     Multiplying numerator and denominator by the conjugate and using
-    phi * phi_bar = 1 collapses the radical to d * B_n / (P_n + 2), which
-    is why closed-form resistances come out rational.
+    phi * phi_bar = 1 collapses the radical to T = d * B_n / (P_n + 2),
+    which is why closed-form resistances come out rational.  Through the
+    half-index pair T = (n-4) * u_n / w_n, with operands of half the size.
     """
-    bs, ps = sequence_pair(ctx, ctx.n)
-    return Fraction(ctx.d * bs[ctx.n], ps[ctx.n] + 2)
+    u, w = half_index_pair(ctx)
+    return Fraction((ctx.n - 4) * u, w)

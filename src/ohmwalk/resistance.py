@@ -6,7 +6,14 @@ T = d*B_n/(P_n+2) (see `exact.conjugate_ratio`),
 
     R(l) = B_{2l} - T * B_l**2        for 1 <= l <= (n-1)/2,
 
-extended by the symmetry R(l) = R(n-l).  A second, independent route
+extended by the symmetry R(l) = R(n-l).  It is evaluated from two pairs
+only: (B_l, P_l) by binary powering, with B_{2l} = B_l * P_l, and the
+half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
+
+    R(l) = B_l * (P_l*w_n - (n-4)*u_n*B_l) / w_n,
+    Kirchhoff index = n*u_n/w_n - 1.
+
+Memory stays linear in the size of the result.  A second, independent route
 evaluates the same formula through its radical (conjugate-unit) shape in
 arbitrary precision, and a third comes from the Laplacian eigenvalue sum
 (`spectral.spectral_resistance`).
@@ -21,7 +28,8 @@ from fractions import Fraction
 import mpmath
 
 from .circulant import complete_minus_opposite
-from .exact import SequenceContext, sequence_pair, conjugate_ratio
+# conjugate_ratio and sequence_pair are not called here; perfbench/spans.py wraps these bindings
+from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair, sequence_pair
 from .spectral import eigenvalues_minus_opposite, spectral_resistance
 
 
@@ -42,8 +50,9 @@ def two_point_resistance(n: int, l: int) -> Fraction:
     """Exact resistance between vertices at circular distance l."""
     l = _validate_pair(n, l)
     ctx = SequenceContext(n)
-    bs, _ = sequence_pair(ctx, max(2 * l, n))
-    return Fraction(bs[2 * l]) - conjugate_ratio(ctx) * bs[l] ** 2
+    b, p = power_pair(ctx, l)
+    u, w = half_index_pair(ctx)
+    return Fraction(b * (p * w - (n - 4) * u * b), w)
 
 
 def two_point_resistance_radical(n: int, l: int, dps: int | None = None) -> float:
@@ -105,15 +114,13 @@ def r_half_sums(n: int, l: int) -> tuple[float, float, float]:
 def total_effective_resistance(n: int) -> Fraction:
     """Sum of resistances over all vertex pairs (Kirchhoff index):
 
-        n * [ (P_n - (n-2))/d  -  (B_n - n) * B_n / (P_n + 2) ].
+        n * [ (P_n - (n-2))/d  -  (B_n - n) * B_n / (P_n + 2) ],
+
+    which the half-index pair collapses to n*u_n/w_n - 1.
     """
     _validate_family(n)
-    ctx = SequenceContext(n)
-    bs, ps = sequence_pair(ctx, n)
-    return n * (
-        Fraction(ps[n] - (n - 2), ctx.d)
-        - Fraction((bs[n] - n) * bs[n], ps[n] + 2)
-    )
+    u, w = half_index_pair(SequenceContext(n))
+    return Fraction(n * u - w, w)
 
 
 def eigentime_identity_check(n: int) -> tuple[float, Fraction]:

@@ -105,3 +105,28 @@ class TestLaplacian:
         lap = g.laplacian_dense()
         for i in range(g.n):
             assert np.array_equal(lap[i], np.roll(lap[0], i))
+
+
+def loop_laplacian(g):
+    lap = np.zeros((g.n, g.n), dtype=np.int64)
+    for i in range(g.n):
+        lap[i, i] = g.degree
+        for w in g.neighbors(i):
+            lap[i, w] = -1
+    return lap
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(7),
+        CirculantGraph(12, (1, 3, 4)),
+        CirculantGraph(12, (1, 4, 6)),  # jump n/2: one neighbor, degree 5
+        complete_minus_opposite(2047),
+    ],
+    ids=["cycle-7", "C12-1-3-4", "C12-1-4-6", "minus-opposite-2047"],
+)
+def test_laplacian_equals_loop_reference(g):
+    lap = g.laplacian_dense()
+    assert lap.dtype == np.int64
+    assert np.array_equal(lap, loop_laplacian(g))

@@ -222,6 +222,31 @@ class TestPlumbing:
         assert max(len(part) for part in record["exact"].split("/")) > 4300
         assert Fraction(record["exact"]) == two_point_resistance(3001, 1)
 
+    @pytest.mark.parametrize(
+        "argv, quantity",
+        [
+            (["total", "--n", "20001"], "K"),
+            (["resistance", "--n", "20001", "--l", "1"], "R"),
+        ],
+    )
+    def test_large_n_exact_residue(self, capsys, argv, quantity):
+        # the closed forms modulo a prime, from the B/P recursions
+        n, p = 20001, (1 << 61) - 1
+        m, d = n - 2, n * (n - 4)
+        bs, ps = [0, 1], [2, m]
+        for _ in range(n - 1):
+            bs.append((m * bs[-1] - bs[-2]) % p)
+            ps.append((m * ps[-1] - ps[-2]) % p)
+        inv = pow(ps[n] + 2, -1, p)
+        if quantity == "R":  # B_2 - d*B_n/(P_n+2) * B_1**2
+            expected = (bs[2] - d * bs[n] * inv * bs[1] ** 2) % p
+        else:  # n * [(P_n - (n-2))/d - (B_n - n)*B_n/(P_n+2)]
+            expected = n * ((ps[n] - m) * pow(d, -1, p) - (bs[n] - n) * bs[n] * inv) % p
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        num, den = map(int, json.loads(out)["exact"].split("/"))
+        assert num * pow(den, -1, p) % p == expected
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -10,8 +10,10 @@ from ohmwalk.exact import (
     bejaia,
     bejaia_sequence,
     conjugate_ratio,
+    half_index_pair,
     pisa,
     pisa_sequence,
+    power_pair,
     sequence_pair,
     sum_bejaia_even,
     sum_bejaia_squares,
@@ -195,3 +197,35 @@ def test_conjugate_ratio_examples():
     # d * B_n / (P_n + 2): 5*5*55/125 = 11/5 at n=5
     assert conjugate_ratio(SequenceContext(5)) == Fraction(11, 5)
     assert conjugate_ratio(SequenceContext(7)) == Fraction(21 * 12649, 57967)
+
+
+ODD_N_TO_401 = st.integers(2, 200).map(lambda k: 2 * k + 1)
+
+
+class TestPowering:
+    @given(n=ODD_N_TO_401, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_power_pair_equals_listed_terms(self, n, data):
+        ctx = SequenceContext(n)
+        bs, ps = sequence_pair(ctx, 2 * n)
+        for k in (0, 1, n, 2 * n, data.draw(st.integers(0, 2 * n))):
+            assert power_pair(ctx, k) == (bs[k], ps[k]), (n, k)
+
+    def test_half_index_pair_against_full_index_terms(self):
+        # psi = (sqrt(n) + sqrt(n-4))/2 squares to phi; psi**n = psi * phi**j
+        for n in range(5, 402, 2):
+            ctx = SequenceContext(n)
+            bs, ps = sequence_pair(ctx, n)
+            u, w = half_index_pair(ctx)
+            assert n * w * w - (n - 4) * u * u == 4
+            assert bs[n] == u * w
+            assert ps[n] + 2 == n * w * w
+            assert conjugate_ratio(ctx) == Fraction(ctx.d * bs[n], ps[n] + 2), n
+
+    def test_half_index_pair_n5_is_lucas_over_fibonacci(self):
+        # T = L_5 / F_5 = 11/5 at n = 5: u_5 = L_5, w_5 = F_5
+        assert half_index_pair(SequenceContext(5)) == (11, 5)
+
+    def test_power_pair_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            power_pair(SequenceContext(7), -1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ohmwalk.circulant import complete_minus_opposite
-from ohmwalk.exact import SequenceContext, conjugate_ratio
+from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
@@ -168,3 +169,46 @@ def test_exact_spectral_and_radical_routes_agree(n):
         assert two_point_resistance_radical(n, l) == pytest.approx(exact, rel=1e-13, abs=0)
     kirchhoff = n * eigenvalues_circulant(g).reciprocal_sum()
     assert float(total_effective_resistance(n)) == pytest.approx(kirchhoff, rel=1e-13, abs=0)
+
+
+def full_index_resistance(n, l):
+    # the O(n)-list route: B_{2l} - d*B_n/(P_n+2) * B_l**2
+    l = min(l, n - l)
+    ctx = SequenceContext(n)
+    bs, ps = sequence_pair(ctx, max(2 * l, n))
+    return Fraction(bs[2 * l]) - Fraction(ctx.d * bs[n], ps[n] + 2) * bs[l] ** 2
+
+
+def full_index_kirchhoff(n):
+    ctx = SequenceContext(n)
+    bs, ps = sequence_pair(ctx, n)
+    return n * (
+        Fraction(ps[n] - (n - 2), ctx.d)
+        - Fraction((bs[n] - n) * bs[n], ps[n] + 2)
+    )
+
+
+class TestHalfIndexRoute:
+    @pytest.mark.parametrize("n", [*range(5, 62, 2), 201, 401])
+    def test_equals_full_index_formulas(self, n):
+        for l in range(1, n):
+            assert two_point_resistance(n, l) == full_index_resistance(n, l), l
+        assert total_effective_resistance(n) == full_index_kirchhoff(n)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (two_point_resistance, (20001, 1)),
+            (two_point_resistance, (20001, 10000)),
+            (total_effective_resistance, (20001,)),
+        ],
+    )
+    def test_large_n_peak_memory(self, fn, args):
+        # the full-index route held ~n big integers: ~1.5 GB at n = 20001
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
