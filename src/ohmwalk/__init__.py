@@ -30,6 +30,7 @@ from .resistance import (
 )
 from .spectral import (
     EigenSpectrum,
+    all_resistances,
     chebyshev_normalized,
     cos_odd_power_sum,
     eigenvalues_circulant,
@@ -59,6 +60,7 @@ __all__ = [
     "ResistanceReport",
     "SequenceContext",
     "WalkConfig",
+    "all_resistances",
     "bejaia",
     "bejaia_sequence",
     "chebyshev_normalized",

@@ -25,6 +25,7 @@ from .resistance import total_effective_resistance, two_point_resistance
 _MAX_STEPS_LIMIT = 2**31
 
 EXACT_SOLVE_LIMIT = 60  # first-step analysis switches to float LU above this
+FPT_SOLVE_CAP = 2048  # markov_fpt refuses graphs with more vertices
 
 
 def kernel_backend() -> str:
@@ -58,63 +59,55 @@ def mfpt_closed(n: int, variant: str = "corrected") -> Fraction:
     return degree * total_effective_resistance(n) / n
 
 
-def markov_fpt(
-    g: CirculantGraph,
-    target: int,
-    exact: bool | None = None,
-    cap: int = 2048,
-) -> list[Fraction] | np.ndarray:
+def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
     """First-passage times to `target` by first-step analysis:
 
         h[target] = 0,    h[i] = 1 + (1/deg) * sum over neighbors j of h[j].
 
-    Solved exactly over rationals up to EXACT_SOLVE_LIMIT vertices (the
-    default route for small graphs) and by float LU beyond; `exact`
-    overrides the choice.  Graphs above `cap` vertices are refused.
+    Both routes solve one system, the Laplacian (deg*I - A) h = deg*1 with
+    the target row pinned to h = 0: exactly over the rationals up to
+    EXACT_SOLVE_LIMIT vertices, by float LU beyond.  Graphs above
+    FPT_SOLVE_CAP vertices are refused.
     """
     n = g.n
     if not 0 <= target < n:
         raise ValueError(f"target must be in [0, {n - 1}], got {target}")
-    if n > cap:
-        raise ValueError(f"graph has {n} vertices, above the solve cap {cap}")
-    if exact is None:
-        exact = n <= EXACT_SOLVE_LIMIT
-    deg = g.degree
-    if exact:
-        return _solve_fpt_exact(g, target, deg)
-    mat = g.laplacian_dense().astype(float)
-    rhs = np.full(n, float(deg))
-    mat[target, :] = 0.0
-    mat[target, target] = 1.0
-    rhs[target] = 0.0
-    return np.linalg.solve(mat, rhs)
+    if n > FPT_SOLVE_CAP:
+        raise ValueError(f"graph has {n} vertices, above the solve cap {FPT_SOLVE_CAP}")
+    mat = g.laplacian_dense()
+    mat[target] = 0
+    mat[target, target] = 1
+    rhs = np.full(n, g.degree)
+    rhs[target] = 0
+    if n > EXACT_SOLVE_LIMIT:
+        return np.linalg.solve(mat.astype(float), rhs.astype(float))
+    return _solve_exact(mat.tolist(), rhs.tolist())
 
 
-def _solve_fpt_exact(g: CirculantGraph, target: int, deg: int) -> list[Fraction]:
-    # scaled system (deg*I - A) h = deg*1, target row pinned to h = 0
-    n = g.n
-    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        if i == target:
-            aug[i][i] = Fraction(1)
-            continue
-        aug[i][i] = Fraction(deg)
-        for w in g.neighbors(i):
-            aug[i][w] -= 1
-        aug[i][n] = Fraction(deg)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            if aug[r][col] != 0:
-                factor = aug[r][col] / aug[col][col]
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    sol = [Fraction(0)] * n
+def _solve_exact(a: list[list[int]], b: list[int]) -> list[Fraction]:
+    """Solve a x = b over the rationals by fraction-free (Bareiss)
+    elimination: every intermediate is an integer, and the only division
+    that leaves the integers is x_i = X_i / det at the end.  A zero pivot
+    raises ZeroDivisionError."""
+    n = len(a)
+    for row, b_i in zip(a, b):
+        row.append(b_i)
+    # no pivot search: a pinned Laplacian is a nonsingular M-matrix, so its leading minors are > 0
+    prev = 1
+    for k in range(n):
+        pivot = a[k]
+        p = pivot[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
+        prev = p
+    det = prev
+    xs = [0] * n  # X_i = det * x_i, an integer by Cramer's rule
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n] - sum(aug[i][j] * sol[j] for j in range(i + 1, n))
-        sol[i] = acc / aug[i][i]
-    return sol
+        row = a[i]
+        acc = det * row[n] - sum(row[j] * xs[j] for j in range(i + 1, n))
+        xs[i] = acc // row[i]
+    return [Fraction(x, det) for x in xs]
 
 
 @dataclass(frozen=True)

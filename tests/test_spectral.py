@@ -259,3 +259,9 @@ class TestAllResistances:
         l = np.arange(n)
         r = all_resistances(cycle_graph(n))
         assert np.max(np.abs(r - l * (n - l) / n)) < 1e-11
+
+    def test_star_import_exports_it(self):
+        # the README quick start names all_resistances after `from ohmwalk import *`
+        ns = {}
+        exec("from ohmwalk import *", ns)
+        assert ns["all_resistances"] is all_resistances

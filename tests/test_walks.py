@@ -10,6 +10,7 @@ from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opp
 from ohmwalk.spectral import spectral_resistance
 from ohmwalk.walks import (
     WalkConfig,
+    _solve_exact,
     commute_time_closed,
     fpt_closed,
     kernel_backend,
@@ -126,13 +127,87 @@ class TestMarkovOracle:
             h = markov_fpt(complete_minus_opposite(n), 0)
             assert sum(h) / n == mfpt_closed(n)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            markov_fpt(complete_minus_opposite(301), 0, cap=100)
+    def test_cap_enforced(self, monkeypatch):
+        def no_matrix(self):
+            raise AssertionError("refusal must come before any matrix is built")
+
+        monkeypatch.setattr(CirculantGraph, "laplacian_dense", no_matrix)
+        with pytest.raises(ValueError, match="solve cap 2048"):
+            markov_fpt(complete_minus_opposite(2049), 0)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
             markov_fpt(cycle_graph(5), 5)
+
+
+def _old_solve_fpt_exact(g, target, deg):
+    # the neighbour-loop Fraction elimination markov_fpt used before it
+    # shared the pinned Laplacian with the float route: the reference
+    n = g.n
+    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        if i == target:
+            aug[i][i] = Fraction(1)
+            continue
+        aug[i][i] = Fraction(deg)
+        for w in g.neighbors(i):
+            aug[i][w] -= 1
+        aug[i][n] = Fraction(deg)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, n):
+            if aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                for c in range(col, n + 1):
+                    aug[r][c] -= factor * aug[col][c]
+    sol = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = aug[i][n] - sum(aug[i][j] * sol[j] for j in range(i + 1, n))
+        sol[i] = acc / aug[i][i]
+    return sol
+
+
+def _old_solve_fpt_float(g, target):
+    # the float route as it was before the shared system: the reference
+    n = g.n
+    mat = g.laplacian_dense().astype(float)
+    rhs = np.full(n, float(g.degree))
+    mat[target, :] = 0.0
+    mat[target, target] = 1.0
+    rhs[target] = 0.0
+    return np.linalg.solve(mat, rhs)
+
+
+EXACT_ROUTE_GRAPHS = [complete_minus_opposite(n) for n in (*range(5, 26, 2), 41, 59)] + [
+    complete_graph(7),
+    CirculantGraph(8, (1, 3)),
+    CirculantGraph(10, (1, 2)),
+    CirculantGraph(12, (1, 4, 6)),  # a jump of n/2
+]
+
+
+class TestSharedSystem:
+    @pytest.mark.parametrize("g", EXACT_ROUTE_GRAPHS, ids=lambda g: f"n{g.n}-deg{g.degree}")
+    def test_exact_route_equals_fraction_elimination(self, g):
+        for target in (0, g.n // 2, g.n - 1):
+            h = markov_fpt(g, target)
+            assert isinstance(h, list)
+            assert all(type(x) is Fraction for x in h)
+            assert h == _old_solve_fpt_exact(g, target, g.degree)
+
+    @pytest.mark.parametrize("n", [61, 101, 2047])
+    def test_float_route_is_bit_identical(self, n):
+        g = complete_minus_opposite(n)
+        for target in (0, n // 2):
+            h = markov_fpt(g, target)
+            assert isinstance(h, np.ndarray)
+            assert np.array_equal(h, _old_solve_fpt_float(g, target))
+
+    def test_zero_pivot_raises(self):
+        # a singular system cannot come back as a wrong answer
+        with pytest.raises(ZeroDivisionError):
+            _solve_exact([[1, 1], [1, 1]], [1, 1])
 
 
 class TestWalkConfig:
