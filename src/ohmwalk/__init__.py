@@ -9,7 +9,6 @@ from .circulant import (
     cycle_graph,
 )
 from .exact import (
-    QuadElem,
     SequenceContext,
     bejaia,
     bejaia_sequence,
@@ -56,7 +55,6 @@ __all__ = [
     "CirculantGraph",
     "EigenSpectrum",
     "FptEstimate",
-    "QuadElem",
     "ResistanceReport",
     "SequenceContext",
     "WalkConfig",

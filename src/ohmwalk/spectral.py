@@ -91,14 +91,16 @@ def all_resistances(g: CirculantGraph) -> np.ndarray:
     return _mirror(half, n)
 
 
-def spectral_resistance(g: CirculantGraph, l: int) -> float:
+def spectral_resistance(g: CirculantGraph, l: int | None = None) -> float | np.ndarray:
     """Two-point resistance between vertices at circular distance l, read
-    from `all_resistances`.
+    from `all_resistances`; with l None, that whole array.
 
     l is reduced to min(l, n-l) first, which makes the l <-> n-l symmetry
     hold to the last bit.
     """
     n = g.n
+    if l is None:
+        return all_resistances(g)
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be in [1, {n - 1}], got {l}")
     return float(all_resistances(g)[min(l, n - l)])

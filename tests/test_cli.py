@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from ohmwalk import cli
+from ohmwalk import checks, cli
 from ohmwalk.resistance import two_point_resistance
+
+
+def residue(digits, p):
+    """A decimal string's value modulo p, in linear time."""
+    r = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        r = (r * pow(10, len(chunk), p) + int(chunk)) % p
+    return r
 
 
 def run(capsys, *argv):
@@ -37,6 +46,12 @@ class TestResistance:
         code, _, _ = run(capsys, "resistance", "--n", "7", "--l", "1",
                          "--tolerance", "1e-30")
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, value):
+        code, out, err = run(capsys, "resistance", "--n", "7", "--l", "1", f"--tolerance={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tolerance") and err.count("\n") == 1
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "resistance", "--n", "7", "--l", "1", "--format", "csv")
@@ -176,6 +191,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--n-max", "5", f"--tolerance={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tolerance") and err.count("\n") == 1
+
+    def test_gcd_bound_row_fails_under_a_wrong_bound(self, capsys, monkeypatch):
+        # at n = 9, gcd(num_l, w_n) is 2 at l = 1 and 18 at l = 3, so a bound
+        # of 1 must fail the row there; at n = 5 and 7 every such gcd is 1
+        assert checks.check_sequence_identities(9, 1e-9).passed
+        monkeypatch.setattr(checks, "resistance_gcd_bound", lambda ctx, l: 1)
+        assert not checks.check_sequence_identities(9, 1e-9).passed
+        code, out, _ = run(capsys, "verify", "--n-max", "9", "--trials", "2000")
+        assert code == 3
+        failed = [line.split()[:2] for line in out.splitlines() if " FAIL " in line]
+        assert failed == [["sequence_identities", "9"]]
+
     def test_zero_stderr_fails_monte_carlo_row(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "5", "--trials", "2",
                            "--seed", "13")
@@ -227,11 +259,12 @@ class TestPlumbing:
         [
             (["total", "--n", "20001"], "K"),
             (["resistance", "--n", "20001", "--l", "1"], "R"),
+            (["total", "--n", "100001"], "K"),
         ],
     )
     def test_large_n_exact_residue(self, capsys, argv, quantity):
         # the closed forms modulo a prime, from the B/P recursions
-        n, p = 20001, (1 << 61) - 1
+        n, p = int(argv[2]), (1 << 61) - 1
         m, d = n - 2, n * (n - 4)
         bs, ps = [0, 1], [2, m]
         for _ in range(n - 1):
@@ -244,7 +277,7 @@ class TestPlumbing:
             expected = n * ((ps[n] - m) * pow(d, -1, p) - (bs[n] - n) * bs[n] * inv) % p
         code, out, err = run(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "")
-        num, den = map(int, json.loads(out)["exact"].split("/"))
+        num, den = (residue(part, p) for part in json.loads(out)["exact"].split("/"))
         assert num * pow(den, -1, p) % p == expected
 
     def test_missing_subcommand_is_usage_error(self, capsys):

@@ -1,23 +1,105 @@
+import math
+import pickle
+import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ohmwalk import exact
 from ohmwalk.exact import (
-    QuadElem,
+    STR_SPLIT_BITS,
     SequenceContext,
     bejaia,
     bejaia_sequence,
     conjugate_ratio,
+    decimal_str,
     half_index_pair,
     pisa,
     pisa_sequence,
     power_pair,
+    reduce_by,
+    resistance_gcd_bound,
     sequence_pair,
     sum_bejaia_even,
     sum_bejaia_squares,
 )
+from ohmwalk.resistance import total_effective_resistance, two_point_resistance
+
+
+@dataclass(frozen=True)
+class QuadElem:
+    """Element a + b*sqrt(d) of Q(sqrt(d)) with rational a, b and fixed
+    positive integer radicand d: the reference oracle for `power_pair`."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        if self.d <= 0:
+            raise ValueError(f"radicand must be positive, got {self.d}")
+
+    def _check_compatible(self, other: "QuadElem") -> None:
+        if self.d != other.d:
+            raise ValueError(f"mismatched radicands: {self.d} != {other.d}")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadElem(self.a + other, self.b, self.d)
+        if isinstance(other, QuadElem):
+            self._check_compatible(other)
+            return QuadElem(self.a + other.a, self.b + other.b, self.d)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadElem(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadElem(self.a * other, self.b * other, self.d)
+        if isinstance(other, QuadElem):
+            self._check_compatible(other)
+            return QuadElem(
+                self.a * other.a + self.b * other.b * self.d,
+                self.a * other.b + self.b * other.a,
+                self.d,
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        """k-th power by repeated squaring, k >= 0."""
+        if k < 0:
+            raise ValueError("negative exponents are not supported")
+        result = QuadElem(Fraction(1), Fraction(0), self.d)
+        base = self
+        while k > 0:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def conjugate(self):
+        return QuadElem(self.a, -self.b, self.d)
+
+    def norm(self) -> Fraction:
+        """Field norm a**2 - b**2 * d."""
+        return self.a * self.a - self.b * self.b * self.d
+
+
+def phi(ctx: SequenceContext) -> QuadElem:
+    """Fundamental unit (n - 2 + sqrt(d)) / 2 of the context."""
+    return QuadElem(Fraction(ctx.n - 2, 2), Fraction(1, 2), ctx.d)
 
 
 def quad(a, b, d):
@@ -31,22 +113,22 @@ class TestQuadElem:
         assert one * root == root
 
     def test_unit_times_conjugate_is_one(self):
-        phi = SequenceContext(7).phi()
-        assert phi * phi.conjugate() == quad(1, 0, 21)
-        assert phi.norm() == 1
+        unit = phi(SequenceContext(7))
+        assert unit * unit.conjugate() == quad(1, 0, 21)
+        assert unit.norm() == 1
 
     def test_square_of_unit(self):
         # ((5+sqrt(21))/2)^2 = 23/2 + (5/2) sqrt(21), i.e. (P_2/2, B_2/2)
-        phi = SequenceContext(7).phi()
-        assert phi * phi == QuadElem(Fraction(23, 2), Fraction(5, 2), 21)
+        unit = phi(SequenceContext(7))
+        assert unit * unit == QuadElem(Fraction(23, 2), Fraction(5, 2), 21)
 
     def test_pow_zero(self):
-        phi = SequenceContext(7).phi()
-        assert phi**0 == quad(1, 0, 21)
+        unit = phi(SequenceContext(7))
+        assert unit**0 == quad(1, 0, 21)
 
     def test_seventh_power_matches_sequence_pair(self):
-        phi = SequenceContext(7).phi()
-        assert phi**7 == QuadElem(Fraction(57965, 2), Fraction(12649, 2), 21)
+        unit = phi(SequenceContext(7))
+        assert unit**7 == QuadElem(Fraction(57965, 2), Fraction(12649, 2), 21)
 
     def test_fifth_power_fibonacci_lucas(self):
         # ((3+sqrt5)/2)^5 = (L_10 + F_10 sqrt5)/2; oracle: plain recursions
@@ -55,8 +137,8 @@ class TestQuadElem:
         for _ in range(10):
             fib.append(fib[-1] + fib[-2])
             luc.append(luc[-1] + luc[-2])
-        phi = SequenceContext(5).phi()
-        assert phi**5 == QuadElem(Fraction(luc[10], 2), Fraction(fib[10], 2), 5)
+        unit = phi(SequenceContext(5))
+        assert unit**5 == QuadElem(Fraction(luc[10], 2), Fraction(fib[10], 2), 5)
 
     def test_mismatched_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -64,7 +146,7 @@ class TestQuadElem:
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            SequenceContext(5).phi() ** -1
+            phi(SequenceContext(5)) ** -1
 
     @given(
         a=st.integers(-9, 9),
@@ -139,11 +221,11 @@ class TestSequences:
         for n in range(5, 100, 2):
             ctx = SequenceContext(n)
             bs, ps = sequence_pair(ctx, 200)
-            phi = ctx.phi()
+            unit = phi(ctx)
             acc = QuadElem(Fraction(1), Fraction(0), ctx.d)
             for l in range(201):
                 assert acc.a * 2 == ps[l] and acc.b * 2 == bs[l], (n, l)
-                acc = acc * phi
+                acc = acc * unit
 
     @given(
         n=st.integers(2, 49).map(lambda k: 2 * k + 1),
@@ -188,8 +270,6 @@ class TestSums:
         for n in (1, 3, 10):
             for value in (sum_bejaia_even(ctx, n), sum_bejaia_squares(ctx, n)):
                 assert value.denominator > 0
-                import math
-
                 assert math.gcd(value.numerator, value.denominator) == 1
 
 
@@ -229,3 +309,150 @@ class TestPowering:
     def test_power_pair_rejects_negative_index(self):
         with pytest.raises(ValueError):
             power_pair(SequenceContext(7), -1)
+
+    @given(n=ODD_N_TO_401, k=st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_power_pair_equals_quadratic_ring_powers(self, n, k):
+        # phi**k = (P_k + B_k*sqrt(d))/2 in Q(sqrt(d)), by the reference ring
+        ctx = SequenceContext(n)
+        b, p = power_pair(ctx, k)
+        assert phi(ctx) ** k == QuadElem(Fraction(p, 2), Fraction(b, 2), ctx.d)
+
+
+def unreduced_resistance(n, l):
+    """(num_l, w_n) with R(l) = num_l / w_n before any reduction."""
+    ctx = SequenceContext(n)
+    b, p = power_pair(ctx, min(l, n - l))
+    u, w = half_index_pair(ctx)
+    return b * (p * w - (n - 4) * u * b), w
+
+
+def as_pair(x):
+    return x.numerator, x.denominator
+
+
+class TestReduction:
+    @given(n=ODD_N_TO_401)
+    @example(n=9)
+    @example(n=15)
+    @settings(max_examples=50, deadline=None)
+    def test_results_equal_the_constructor(self, n):
+        ctx = SequenceContext(n)
+        reduced = 0  # distances whose gcd G exceeds 1
+        for l in range(1, n):
+            num, w = unreduced_resistance(n, l)
+            expected = Fraction(num, w)
+            assert as_pair(reduce_by(num, w, resistance_gcd_bound(ctx, min(l, n - l)))) == as_pair(expected)
+            assert as_pair(two_point_resistance(n, l)) == as_pair(expected), l
+            reduced += expected.denominator < w
+        # w_k and u_k are even exactly when 3 | k, so 2 | G at l = 1 when 3 | n
+        assert reduced > 0 or n % 3
+        u, w = half_index_pair(SequenceContext(n))
+        expected = Fraction(n * u - w, w)
+        assert as_pair(total_effective_resistance(n)) == as_pair(expected)
+        assert w // expected.denominator in (n, 2 * n)  # the Kirchhoff G > 1 always
+        assert as_pair(conjugate_ratio(ctx)) == as_pair(Fraction((n - 4) * u, w))
+
+    @pytest.mark.parametrize("n, l, g", [(9, 1, 2), (9, 3, 18), (15, 5, 310), (7, 2, 1)])
+    def test_known_gcds_divide_the_bound(self, n, l, g):
+        num, w = unreduced_resistance(n, l)
+        assert math.gcd(num, w) == g
+        assert resistance_gcd_bound(SequenceContext(n), l) % g == 0
+        assert reduce_by(num, w, resistance_gcd_bound(SequenceContext(n), l)).denominator == w // g
+
+    def test_bound_uses_the_term_at_gcd_of_l_and_n(self):
+        # s = gcd(l, n): w_1 = 1, w_3 = n - 3, w_5 = (n-2)(n-3) - 1
+        ctx = SequenceContext(15)
+        assert [resistance_gcd_bound(ctx, l) for l in (1, 3, 5, 6)] == [
+            8, 8 * 12**2, 8 * 155**2, 8 * 12**2
+        ]
+
+
+REDUCE_CASES = [
+    (0, 1, 1),
+    (0, 5, 5),
+    (1, 1, 1),
+    (-3, 7, 1),
+    (6, 4, 2),
+    (-6, 4, 8),
+    (38 * 13, 91 * 13, 13),
+    (2**200 + 1, 3**90, 1),
+    (-(10**50), 7**60, 1),
+    (2**2 * 3**41, 18, 36),
+]
+
+
+class TestReduceBy:
+    """`reduce_by` fills Fraction's slots directly, a private layout; these
+    pin the result to the plain constructor's."""
+
+    @pytest.mark.parametrize("num, den, bound", REDUCE_CASES)
+    def test_pinned_to_the_constructor(self, num, den, bound):
+        got, ref = reduce_by(num, den, bound), Fraction(num, den)
+        assert type(got) is Fraction
+        assert as_pair(got) == as_pair(ref)
+        assert got == ref and hash(got) == hash(ref) and {ref: 1}[got] == 1
+        assert repr(got) == repr(ref) and str(got) == str(ref)
+        assert float(got) == float(ref) and got.as_integer_ratio() == ref.as_integer_ratio()
+        for other in (Fraction(2, 3), 5, -1.5, ref):
+            assert got + other == ref + other and got - other == ref - other
+            assert got * other == ref * other and (got < other) == (ref < other)
+            assert other - got == other - ref
+        assert as_pair(got / 7) == as_pair(ref / 7) and as_pair(got**2) == as_pair(ref**2)
+        assert as_pair(-got) == as_pair(-ref) and as_pair(abs(got)) == as_pair(abs(ref))
+        assert as_pair(pickle.loads(pickle.dumps(got))) == as_pair(ref)
+        assert as_pair(Fraction(got)) == as_pair(ref) and round(got, 3) == round(ref, 3)
+        assert math.floor(got) == math.floor(ref) and int(got) == int(ref)
+
+    @given(num=st.integers(-(10**40), 10**40), den=st.integers(1, 10**40), k=st.integers(1, 9))
+    def test_any_multiple_of_the_gcd_gives_the_constructor(self, num, den, k):
+        got = reduce_by(num, den, k * math.gcd(num, den))
+        assert as_pair(got) == as_pair(Fraction(num, den)) and hash(got) == hash(Fraction(num, den))
+
+
+class no_digit_limit:
+    """Lifts the int <-> str digit limit inside the block."""
+
+    def __enter__(self):
+        self.old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        sys.set_int_max_str_digits(self.old)
+
+
+def _special(bits):
+    return st.sampled_from([2**bits, 2**bits - 1, 2**bits + 1, 10 ** (bits * 3 // 10), 10 ** (bits * 3 // 10) - 1])
+
+
+SPANNING_BITS = st.integers(0, 3 * STR_SPLIT_BITS)
+
+
+class TestDecimalStr:
+    @given(
+        x=st.one_of(
+            st.integers(),
+            SPANNING_BITS.flatmap(_special),
+            st.tuples(SPANNING_BITS, st.integers(0, 2**32)).map(lambda t: random.Random(t[1]).getrandbits(t[0])),
+        ),
+        negate=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_str(self, x, negate):
+        x = -x if negate else x
+        with no_digit_limit():
+            assert decimal_str(x) == str(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 1, -1, 7, 2**127, 2**128 - 1, 2**128, 2**129 + 1, -(2**129), 10**38, 10**39 - 1, 3**500],
+    )
+    def test_the_split_itself_on_small_values(self, x, monkeypatch):
+        monkeypatch.setattr(exact, "STR_SPLIT_BITS", 0)
+        assert decimal_str(x) == str(x)
+
+    def test_values_straddling_the_threshold(self):
+        with no_digit_limit():
+            for bits in (STR_SPLIT_BITS - 1, STR_SPLIT_BITS, STR_SPLIT_BITS + 1, 2 * STR_SPLIT_BITS + 3):
+                for x in (2**bits - 1, 2**bits, 2**bits + 1, -(2**bits) - 1):
+                    assert decimal_str(x) == str(x), (bits, x)

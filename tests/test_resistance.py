@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ohmwalk import checks, spectral
 from ohmwalk.circulant import complete_minus_opposite
 from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
@@ -155,6 +156,23 @@ class TestReport:
         for n in (5, 9, 33, 77):
             for l in (1, (n - 1) // 2, n - 1):
                 assert resistance_report(n, l).valid
+
+    def test_shared_spectrum_gives_the_same_report(self):
+        for n in (5, 9, 33):
+            spectrum = spectral_resistance(complete_minus_opposite(n))
+            assert np.array_equal(spectrum, spectral.all_resistances(complete_minus_opposite(n)))
+            for l in range(1, n):
+                assert resistance_report(n, l, spectrum) == resistance_report(n, l)
+
+    @pytest.mark.parametrize("n", [5, 21, 61])
+    def test_oracle_check_builds_one_spectrum_per_n(self, n, monkeypatch):
+        calls = []
+        original = spectral.all_resistances
+        monkeypatch.setattr(spectral, "all_resistances", lambda g: calls.append(g) or original(g))
+        row = checks.check_resistance_oracles(n, 1e-9)
+        assert len(calls) == 1 and row.passed
+        monkeypatch.undo()
+        assert row.max_dev == max(resistance_report(n, l).max_rel_dev for l in range(1, n))
 
 
 @given(n=st.integers(2, 200).map(lambda k: 2 * k + 1))
