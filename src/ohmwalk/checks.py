@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import complete_minus_opposite
-from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, resistance_gcd_bound, sequence_pair
+from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, resistance_gcd_bound
+from .exact import sequence_pair, sum_bejaia_even, sum_bejaia_squares
 from .resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
@@ -104,8 +105,9 @@ def check_symmetry_identity(n: int, tol: float) -> CheckResult:
     return CheckResult("symmetry_identity", n, 0.0 if ok else 1.0, ok)
 
 
-def check_sequence_identities(n: int, tol: float, upto: int = 60) -> CheckResult:
+def check_sequence_identities(n: int, tol: float) -> CheckResult:
     ctx = SequenceContext(n)
+    upto = 60  # index range of the term and running-sum identities
     bs, ps = sequence_pair(ctx, max(2 * upto + 1, n))
     d = ctx.d
     # binary powering and the half-index pair against the O(n) recursion
@@ -126,14 +128,14 @@ def check_sequence_identities(n: int, tol: float, upto: int = 60) -> CheckResult
         if l >= 1:
             ok &= ps[l] == bs[l + 1] - bs[l - 1]
             ok &= d * bs[l] == ps[l + 1] - ps[l - 1]
-    # running sums against their closed forms
+    # running direct sums against the closed forms in `exact`
     sq = 0
     ev = 0
     for l in range(1, upto + 1):
         sq += bs[l] * bs[l]
         ev += bs[2 * l]
-        ok &= Fraction(sq) == Fraction(bs[2 * l + 1] - bs[1] - 2 * l, d)
-        ok &= Fraction(ev) == Fraction(ps[2 * l + 1] - ps[1], d)
+        ok &= sq == sum_bejaia_squares(ctx, l)
+        ok &= ev == sum_bejaia_even(ctx, l)
     return CheckResult("sequence_identities", n, 0.0 if ok else 1.0, ok)
 
 
@@ -171,13 +173,13 @@ def check_foster(n: int, tol: float = 1e-8) -> CheckResult:
     return CheckResult("foster", n, dev, dev <= tol)
 
 
-def check_monte_carlo(n: int, l: int, trials: int, seed: int) -> CheckResult:
+def check_monte_carlo(n: int, l: int, cfg: WalkConfig) -> CheckResult:
     g = complete_minus_opposite(n)
-    est = simulate_fpt(g, 0, l, WalkConfig(trials=trials, seed=seed))
+    est = simulate_fpt(g, 0, l, cfg)
     z = est.z_score(float(fpt_closed(n, l)))
     ok = est.valid and abs(z) <= 4.0
     return CheckResult(
-        "monte_carlo", n, abs(z), ok, detail=f"l={l} trials={trials} z={z:+.2f}"
+        "monte_carlo", n, abs(z), ok, detail=f"l={l} trials={cfg.trials} z={z:+.2f}"
     )
 
 
@@ -193,6 +195,8 @@ def run_suite(
         raise ValueError("n_max must be >= 5")
     if mc_trials < 2:
         raise ValueError("Monte Carlo trials must be >= 2 for a z-test")
+    # built first, so a bad seed is refused before any check runs
+    mc_cfg = WalkConfig(trials=mc_trials, seed=mc_seed)
     results: list[CheckResult] = []
     for n in range(5, n_max + 1, 2):
         results.append(check_sin_identity(n, tol))
@@ -208,5 +212,5 @@ def run_suite(
         results.append(check_markov(n))
         results.append(check_foster(n))
     mc_n = 7 if n_max >= 7 else 5
-    results.append(check_monte_carlo(mc_n, 1 if mc_n == 7 else 2, mc_trials, mc_seed))
+    results.append(check_monte_carlo(mc_n, 1 if mc_n == 7 else 2, mc_cfg))
     return results

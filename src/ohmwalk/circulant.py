@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .exact import SequenceContext
+
 
 @dataclass(frozen=True)
 class CirculantGraph:
@@ -81,6 +83,5 @@ def complete_minus_opposite(n: int) -> CirculantGraph:
     (nearly) opposite vertices: the circulant with jumps 1..(n-1)/2 - 1,
     (n-3)-regular with n(n-3)/2 edges.  n = 5 degenerates to the 5-cycle.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 5, got {n}")
+    SequenceContext(n)
     return CirculantGraph(n, range(1, (n - 1) // 2))

@@ -45,31 +45,30 @@ def _emit(args, record: dict, plain_lines: list[str], csv_rows: list[list]) -> N
     print(text, file=args.stream)
 
 
-def _scalar_record(command: str, inputs: dict, exact: Fraction, devs: dict) -> dict:
-    return {
+def _emit_scalar(args, command: str, inputs: dict, exact: Fraction, devs: dict, note: str = "") -> None:
+    record = {
         "command": command,
         "inputs": inputs,
         "exact": _frac_str(exact),
         "float": repr(float(exact)),
         "oracle_devs": devs,
     }
-
-
-def _emit_scalar(args, record: dict) -> None:
-    inputs = " ".join(f"{k}={v}" for k, v in record["inputs"].items())
-    devs = " ".join(f"{k}_dev={v:.3e}" for k, v in record["oracle_devs"].items())
-    plain = [f"{record['command']} {inputs}: {record['exact']} = {record['float']} {devs}".rstrip()]
-    if "note" in record:
-        plain.append(f"note: {record['note']}")
-    header = ["command", *record["inputs"].keys(), "exact", "float", *record["oracle_devs"].keys()]
-    row = [
-        record["command"],
-        *record["inputs"].values(),
-        record["exact"],
-        record["float"],
-        *record["oracle_devs"].values(),
-    ]
+    words = " ".join(f"{k}={v}" for k, v in inputs.items())
+    dev_words = " ".join(f"{k}_dev={v:.3e}" for k, v in devs.items())
+    plain = [f"{command} {words}: {record['exact']} = {record['float']} {dev_words}".rstrip()]
+    if note:
+        record["note"] = note
+        plain.append(f"note: {note}")
+    header = ["command", *inputs.keys(), "exact", "float", *devs.keys()]
+    row = [command, *inputs.values(), record["exact"], record["float"], *devs.values()]
     _emit(args, record, plain, [header, row])
+
+
+def _spectral_scalar(args, command: str, inputs: dict, exact: Fraction, oracle: float, note: str = "") -> int:
+    """Emit `exact` with its deviation from the spectral `oracle`; exit on it."""
+    dev = _rel_to_exact(exact, oracle)
+    _emit_scalar(args, command, inputs, exact, {"spectral": dev}, note)
+    return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
 
 
 def cmd_resistance(args) -> int:
@@ -78,42 +77,32 @@ def cmd_resistance(args) -> int:
         "radical": _rel_to_exact(rep.exact, rep.float_closed),
         "spectral": _rel_to_exact(rep.exact, rep.spectral),
     }
-    record = _scalar_record("resistance", {"n": args.n, "l": args.l}, rep.exact, devs)
-    _emit_scalar(args, record)
+    _emit_scalar(args, "resistance", {"n": args.n, "l": args.l}, rep.exact, devs)
     return EXIT_OK if rep.max_rel_dev <= args.tolerance else EXIT_ORACLE
 
 
 def cmd_fpt(args) -> int:
     exact = fpt_closed(args.n, args.l)
     g = complete_minus_opposite(args.n)
-    dev = _rel_to_exact(exact, g.edge_count * spectral_resistance(g, args.l))
-    record = _scalar_record("fpt", {"n": args.n, "l": args.l}, exact, {"spectral": dev})
-    _emit_scalar(args, record)
-    return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
+    oracle = g.edge_count * spectral_resistance(g, args.l)
+    return _spectral_scalar(args, "fpt", {"n": args.n, "l": args.l}, exact, oracle)
 
 
 def cmd_mfpt(args) -> int:
     exact = mfpt_closed(args.n, args.variant)
     degree = args.n - 3 if args.variant == "corrected" else args.n - 1
-    dev = _rel_to_exact(exact, degree * eigenvalues_minus_opposite(args.n).reciprocal_sum())
-    record = _scalar_record(
-        "mfpt", {"n": args.n, "variant": args.variant}, exact, {"spectral": dev}
+    oracle = degree * eigenvalues_minus_opposite(args.n).reciprocal_sum()
+    note = "" if args.variant == "corrected" else (
+        "the 'paper' variant scales by n-1, but this graph is (n-3)-regular; "
+        "the walk-average mean is the 'corrected' value, smaller by (n-3)/(n-1)"
     )
-    if args.variant == "paper":
-        record["note"] = (
-            "the 'paper' variant scales by n-1, but this graph is (n-3)-regular; "
-            "the walk-average mean is the 'corrected' value, smaller by (n-3)/(n-1)"
-        )
-    _emit_scalar(args, record)
-    return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
+    return _spectral_scalar(args, "mfpt", {"n": args.n, "variant": args.variant}, exact, oracle, note)
 
 
 def cmd_total(args) -> int:
     exact = total_effective_resistance(args.n)
-    dev = _rel_to_exact(exact, args.n * eigenvalues_minus_opposite(args.n).reciprocal_sum())
-    record = _scalar_record("total", {"n": args.n}, exact, {"spectral": dev})
-    _emit_scalar(args, record)
-    return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
+    oracle = args.n * eigenvalues_minus_opposite(args.n).reciprocal_sum()
+    return _spectral_scalar(args, "total", {"n": args.n}, exact, oracle)
 
 
 def cmd_sequence(args) -> int:

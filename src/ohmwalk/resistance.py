@@ -40,14 +40,9 @@ from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair
 from .spectral import eigenvalues_minus_opposite, spectral_resistance
 
 
-def _validate_family(n: int) -> None:
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"N must be odd and >= 5, got {n}")
-
-
 def _validate_pair(n: int, l: int) -> int:
     """Domain-check (n, l) and fold l into [1, (n-1)/2]."""
-    _validate_family(n)
+    SequenceContext(n)
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be in [1, {n - 1}], got {l}")
     return min(l, n - l)
@@ -62,7 +57,7 @@ def two_point_resistance(n: int, l: int) -> Fraction:
     return Fraction(b * (p * w - (n - 4) * u * b), w)
 
 
-def two_point_resistance_radical(n: int, l: int, dps: int | None = None) -> float:
+def two_point_resistance_radical(n: int, l: int) -> float:
     """The same closed form evaluated through its radical shape,
 
         B_{2l} - sqrt(d) * B_l^2 * (1 - qb^n) / (1 + qb^n),
@@ -74,9 +69,7 @@ def two_point_resistance_radical(n: int, l: int, dps: int | None = None) -> floa
     double at the end.
     """
     l = _validate_pair(n, l)
-    if dps is None:
-        dps = int(2 * l * math.log10(n)) + 30
-    with mpmath.workdps(dps):
+    with mpmath.workdps(int(2 * l * math.log10(n)) + 30):
         root = mpmath.sqrt(n * (n - 4))
         unit = (n - 2 + root) / 2
         conj = (n - 2 - root) / 2
@@ -90,7 +83,7 @@ def conjugate_ratio_radical(n: int) -> float:
     """sqrt(d)*(1 - qb^n)/(1 + qb^n) naively in double precision, for
     checking the rationalized `exact.conjugate_ratio` against the literal
     radical expression (benign here: no catastrophic cancellation)."""
-    _validate_family(n)
+    SequenceContext(n)
     root = math.sqrt(n * (n - 4))
     conj = (n - 2 - root) / 2
     q = conj**n
@@ -126,7 +119,6 @@ def total_effective_resistance(n: int) -> Fraction:
     which the half-index pair collapses to n*u_n/w_n - 1.  Its gcd,
     gcd(n*u_n, w_n), divides gcd(n, w_n)*gcd(u_n, w_n) and so 2n.
     """
-    _validate_family(n)
     u, w = half_index_pair(SequenceContext(n))
     return reduce_by(n * u - w, w, 2 * n)
 
@@ -134,7 +126,6 @@ def total_effective_resistance(n: int) -> Fraction:
 def eigentime_identity_check(n: int) -> tuple[float, Fraction]:
     """Both sides of the reciprocal-eigenvalue identity: the spectral sum
     sum_k 1/lambda_k and its exact closed form (= total resistance / n)."""
-    _validate_family(n)
     lhs = eigenvalues_minus_opposite(n).reciprocal_sum()
     rhs = total_effective_resistance(n) / n
     return lhs, rhs
@@ -157,10 +148,6 @@ class ResistanceReport:
     spectral: float
     max_rel_dev: float
 
-    @property
-    def valid(self) -> bool:
-        return self.max_rel_dev <= 1e-9
-
 
 def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None) -> ResistanceReport:
     """The three routes at (n, l); pass `spectrum`, the graph's
@@ -169,7 +156,7 @@ def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None) -> Res
     closed = two_point_resistance_radical(n, l)
     if spectrum is None:
         spectrum = spectral_resistance(complete_minus_opposite(n))
-    spec = float(spectrum[min(l, n - l)])
+    spec = float(spectrum[l])
     as_float = float(exact)
     dev = max(
         rel_dev(as_float, closed),

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import CirculantGraph
+from .exact import SequenceContext
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ def eigenvalues_minus_opposite(n: int) -> EigenSpectrum:
     """Spectrum of the complete-minus-opposite-edges graph on odd n from
     the split closed forms: even modes 2k give n - 4sin^2(k*pi/n), odd
     modes 2k-1 give n - 4cos^2((2k-1)*pi/2n)."""
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 5, got {n}")
+    SequenceContext(n)
     vals = [0.0] * n
     for m in range(1, (n - 1) // 2 + 1):
         if m % 2 == 0:
@@ -93,17 +93,13 @@ def all_resistances(g: CirculantGraph) -> np.ndarray:
 
 def spectral_resistance(g: CirculantGraph, l: int | None = None) -> float | np.ndarray:
     """Two-point resistance between vertices at circular distance l, read
-    from `all_resistances`; with l None, that whole array.
-
-    l is reduced to min(l, n-l) first, which makes the l <-> n-l symmetry
-    hold to the last bit.
-    """
+    from `all_resistances`; with l None, that whole array."""
     n = g.n
     if l is None:
         return all_resistances(g)
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be in [1, {n - 1}], got {l}")
-    return float(all_resistances(g)[min(l, n - l)])
+    return float(all_resistances(g)[l])
 
 
 # --- trigonometric power sums -------------------------------------------
@@ -147,8 +143,7 @@ def cos_odd_power_sum(n: int, k: int) -> float:
     The correction is the alternating fold: even fold indices add, odd
     ones subtract.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 5, got {n}")
+    SequenceContext(n)
     if k < 1:
         raise ValueError("exponent k must be >= 1")
     value = Fraction(n * math.comb(2 * k, k), 2 ** (2 * k + 1))
@@ -242,8 +237,7 @@ def series_identities(n: int, truncation: int, tol: float = 1e-8) -> SeriesRepor
     directly.  Truncation below ~50n risks tripping the per-identity `ok`
     flag rather than raising.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 5, got {n}")
+    SequenceContext(n)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
 

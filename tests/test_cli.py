@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,16 @@ class TestVerify:
         failed = [line.split()[:2] for line in out.splitlines() if " FAIL " in line]
         assert failed == [["sequence_identities", "9"]]
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_fails_before_any_check(self, capsys, monkeypatch, seed):
+        def check_sin_identity(*args):
+            raise AssertionError("a check ran before the seed was validated")
+
+        monkeypatch.setattr(checks, "check_sin_identity", check_sin_identity)
+        code, out, err = run(capsys, "verify", "--n-max", "101", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_zero_stderr_fails_monte_carlo_row(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "5", "--trials", "2",
                            "--seed", "13")
@@ -215,6 +229,24 @@ class TestVerify:
         row = next(line for line in out.splitlines() if line.startswith("monte_carlo"))
         assert "FAIL" in row and "z=+nan" in row
         assert "FAILURES PRESENT" in out
+
+
+class TestFamilyDomain:
+    ARGS = {
+        "resistance": ["--l", "1"],
+        "fpt": ["--l", "1"],
+        "mfpt": [],
+        "total": [],
+        "sequence": ["--kind", "bejaia", "--count", "3"],
+        "simulate": ["--l", "1", "--trials", "10"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("n", [4, 6, -7])
+    def test_one_message_for_every_command(self, capsys, command, n):
+        code, out, err = run(capsys, command, "--n", str(n), *self.ARGS[command])
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be odd and >= 5, got {n}\n"
 
 
 class TestPlumbing:
@@ -279,6 +311,17 @@ class TestPlumbing:
         assert (code, err) == (0, "")
         num, den = (residue(part, p) for part in json.loads(out)["exact"].split("/"))
         assert num * pow(den, -1, p) % p == expected
+
+    def test_module_entry_point(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ohmwalk.cli", "resistance", "--n", "7", "--l", "1"],
+            cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(capsys, "resistance", "--n", "7", "--l", "1")[1]
+        assert proc.stdout.startswith("resistance n=7 l=1: 38/91 = ")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -265,6 +265,24 @@ class TestSums:
         with pytest.raises(ValueError):
             sum_bejaia_even(SequenceContext(5), 0)
 
+    def test_closed_forms_match_the_recurrence_at_large_count(self):
+        # the running sums of the B/P recurrence modulo the prime 2**61 - 1
+        n, count, p = 20001, 10**5, 2**61 - 1
+        m = n - 2
+        b0, b1, p0, p1 = 0, 1, 2, m
+        squares = evens = 0
+        for l in range(1, 2 * count + 1):
+            if l <= count:
+                squares = (squares + b1 * b1) % p
+            if l % 2 == 0:
+                evens = (evens + b1) % p
+            b0, b1, p0, p1 = b1, (m * b1 - b0) % p, p1, (m * p1 - p0) % p
+        ctx = SequenceContext(n)
+        for value, expected in ((sum_bejaia_squares(ctx, count), squares),
+                                (sum_bejaia_even(ctx, count), evens)):
+            assert value.denominator == 1
+            assert value.numerator % p == expected
+
     def test_results_in_lowest_terms(self):
         ctx = SequenceContext(9)
         for n in (1, 3, 10):

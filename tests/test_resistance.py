@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ohmwalk import checks, spectral
+from ohmwalk import checks, circulant, spectral
 from ohmwalk.circulant import complete_minus_opposite
 from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
@@ -24,6 +24,29 @@ from ohmwalk.spectral import (
     eigenvalues_minus_opposite,
     spectral_resistance,
 )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        SequenceContext,
+        circulant.complete_minus_opposite,
+        eigenvalues_minus_opposite,
+        lambda n: spectral.cos_odd_power_sum(n, 1),
+        lambda n: spectral.series_identities(n, 10),
+        lambda n: two_point_resistance(n, 1),
+        lambda n: two_point_resistance_radical(n, 1),
+        conjugate_ratio_radical,
+        lambda n: r_half_sums(n, 1),
+        total_effective_resistance,
+        eigentime_identity_check,
+    ],
+)
+@pytest.mark.parametrize("n", [4, 6, -7, 3])
+def test_family_domain_has_one_message(entry, n):
+    with pytest.raises(ValueError) as info:
+        entry(n)
+    assert str(info.value) == f"n must be odd and >= 5, got {n}"
 
 
 class TestTwoPointResistance:
@@ -149,13 +172,13 @@ class TestReport:
     def test_report_fields_and_validity(self):
         rep = resistance_report(7, 1)
         assert rep.exact == Fraction(38, 91)
-        assert rep.valid
+        assert rep.max_rel_dev <= 1e-9
         assert rep.max_rel_dev < 1e-12
 
     def test_reports_valid_on_sample_grid(self):
         for n in (5, 9, 33, 77):
             for l in (1, (n - 1) // 2, n - 1):
-                assert resistance_report(n, l).valid
+                assert resistance_report(n, l).max_rel_dev <= 1e-9
 
     def test_shared_spectrum_gives_the_same_report(self):
         for n in (5, 9, 33):

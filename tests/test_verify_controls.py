@@ -1,0 +1,144 @@
+"""Negative controls for `ohmwalk verify`: each test plants one small fault
+in one route and asserts that exactly the rows built on that route fail,
+and that `verify` exits 3.
+
+A fault is planted at every binding of the faulted function, as a real
+defect in it would be seen by all of its callers.  `sin_identity` calls no
+package code, so no route of it can be faulted; it has no control here.
+"""
+
+import inspect
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ohmwalk import _walk_np, checks, circulant, cli, exact, resistance, spectral, walks
+
+MODULES = (exact, circulant, spectral, resistance, walks, checks, cli, _walk_np)
+
+
+def plant(monkeypatch, fn, faulty):
+    """Rebind `fn` to `faulty` in every module that binds it."""
+    for module in MODULES:
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, faulty)
+
+
+def mutant(fn, old, new):
+    """`fn` recompiled from its own source with `old` replaced by `new`."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def scaled(fn, factor):
+    return lambda *args: fn(*args) * factor
+
+
+def shifted(fn, delta):
+    return lambda *args: fn(*args) + delta
+
+
+def skew_first_mode(fn):
+    """`fn`'s spectrum with the first mode and its mirror 1e-6 too large."""
+    def faulty(n):
+        values = list(fn(n).values)
+        values[1] = values[n - 1] = values[1] * (1 + 1e-6)
+        return spectral.EigenSpectrum(n, tuple(values))
+    return faulty
+
+
+def odd_draws(mix):
+    """SplitMix64 with the low bit of every output set."""
+    return lambda z, out, tmp: np.bitwise_or(mix(z, out, tmp), np.uint64(1), out=out)
+
+
+def at_every_n(*rows):
+    return {(row, str(n)) for row in rows for n in (5, 7, 9)}
+
+
+# faulted function, its faulty replacement, and the (row, n) pairs that must
+# then fail in `verify --n-max 9`
+CONTROLS = {
+    "spectrum_skew": (
+        spectral.eigenvalues_minus_opposite,
+        skew_first_mode(spectral.eigenvalues_minus_opposite),
+        at_every_n("spectrum", "eigentime"),
+    ),
+    "folded_alternating_off_by_one": (
+        spectral.folded_alternating,
+        shifted(spectral.folded_alternating, 1),
+        at_every_n("power_sums"),
+    ),
+    "exact_resistance_skew": (
+        resistance.two_point_resistance,
+        scaled(resistance.two_point_resistance, Fraction(10**7 + 1, 10**7)),
+        at_every_n("half_sums", "resistance_oracles", "markov_fpt"),
+    ),
+    "radical_resistance_skew": (
+        resistance.two_point_resistance_radical,
+        scaled(resistance.two_point_resistance_radical, 1 + 1e-8),
+        at_every_n("resistance_oracles"),
+    ),
+    "bejaia_off_by_one": (
+        exact.bejaia, shifted(exact.bejaia, 1), at_every_n("symmetry_identity"),
+    ),
+    "sum_bejaia_even_off_by_one": (
+        exact.sum_bejaia_even,
+        shifted(exact.sum_bejaia_even, 1),
+        at_every_n("sequence_identities"),
+    ),
+    "conjugate_ratio_skew": (
+        exact.conjugate_ratio,
+        scaled(exact.conjugate_ratio, Fraction(10**11 + 1, 10**11)),
+        at_every_n("conjugate_ratio", "symmetry_identity", "sequence_identities"),
+    ),
+    "conjugate_ratio_radical_skew": (
+        resistance.conjugate_ratio_radical,
+        scaled(resistance.conjugate_ratio_radical, 1 + 1e-11),
+        at_every_n("conjugate_ratio"),
+    ),
+    "kirchhoff_skew": (
+        resistance.total_effective_resistance,
+        scaled(resistance.total_effective_resistance, Fraction(10**7 + 1, 10**7)),
+        at_every_n("eigentime"),
+    ),
+    "bareiss_wrong_divisor": (
+        walks._solve_exact,
+        mutant(walks._solve_exact, "// prev for", "// p for"),  # this pivot, not the last
+        at_every_n("markov_fpt"),
+    ),
+    "all_resistances_skew": (
+        spectral.all_resistances,
+        scaled(spectral.all_resistances, 1 + 1e-7),
+        at_every_n("resistance_oracles", "foster"),
+    ),
+    # odd draws pick only the offsets +2 and -2 at n = 7, so the walk from 0
+    # to 1 takes 12 steps on average instead of 76/13
+    "biased_kernel_draw": (
+        _walk_np._mix, odd_draws(_walk_np._mix), {("monte_carlo", "7")},
+    ),
+}
+
+
+def failed_rows(capsys):
+    code = cli.main(["verify", "--n-max", "9", "--trials", "2000"])
+    out = capsys.readouterr().out
+    return code, out, {tuple(line.split()[:2]) for line in out.splitlines() if " FAIL " in line}
+
+
+def test_unfaulted_suite_passes(capsys):
+    assert failed_rows(capsys)[::2] == (0, set())
+
+
+@pytest.mark.parametrize("control", sorted(CONTROLS))
+def test_fault_fails_exactly_its_rows(capsys, monkeypatch, control):
+    fn, faulty, rows = CONTROLS[control]
+    plant(monkeypatch, fn, faulty)
+    code, out, failed = failed_rows(capsys)
+    assert code == 3
+    assert out.rstrip().endswith("FAILURES PRESENT")
+    assert failed == rows
