@@ -40,18 +40,18 @@ from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair
 from .spectral import eigenvalues_minus_opposite, spectral_resistance
 
 
-def _validate_pair(n: int, l: int) -> int:
-    """Domain-check (n, l) and fold l into [1, (n-1)/2]."""
-    SequenceContext(n)
+def _validate_pair(n: int, l: int) -> tuple[SequenceContext, int]:
+    """Domain-check (n, l): the family's context, and l folded into
+    [1, (n-1)/2]."""
+    ctx = SequenceContext(n)
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be in [1, {n - 1}], got {l}")
-    return min(l, n - l)
+    return ctx, min(l, n - l)
 
 
 def two_point_resistance(n: int, l: int) -> Fraction:
     """Exact resistance between vertices at circular distance l."""
-    l = _validate_pair(n, l)
-    ctx = SequenceContext(n)
+    ctx, l = _validate_pair(n, l)
     b, p = power_pair(ctx, l)
     u, w = half_index_pair(ctx)
     return Fraction(b * (p * w - (n - 4) * u * b), w)
@@ -68,7 +68,7 @@ def two_point_resistance_radical(n: int, l: int) -> float:
     a working precision scaled to the cancellation and is rounded to a
     double at the end.
     """
-    l = _validate_pair(n, l)
+    _, l = _validate_pair(n, l)
     with mpmath.workdps(int(2 * l * math.log10(n)) + 30):
         root = mpmath.sqrt(n * (n - 4))
         unit = (n - 2 + root) / 2

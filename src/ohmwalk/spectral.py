@@ -140,17 +140,12 @@ def sin_power_sum_direct(n: int, k: int) -> float:
 def cos_odd_power_sum(n: int, k: int) -> float:
     """Closed form of sum_{m=1..(n-1)/2} cos^(2k)((2m-1)*pi/2n), odd n.
 
-    The correction is the alternating fold: even fold indices add, odd
-    ones subtract.
+    For odd n, (2m-1)*pi/2n = pi/2 - j*pi/n with j = (n+1)/2 - m running
+    over 1..(n-1)/2, so the terms are sin^(2k)(j*pi/n): one mirror half
+    of `sin_power_sum`.
     """
     SequenceContext(n)
-    if k < 1:
-        raise ValueError("exponent k must be >= 1")
-    value = Fraction(n * math.comb(2 * k, k), 2 ** (2 * k + 1))
-    corr = folded_alternating(k, n)
-    if corr:
-        value += Fraction(n, 4**k) * corr
-    return float(value)
+    return sin_power_sum(n, k) / 2
 
 
 def cos_odd_power_sum_direct(n: int, k: int) -> float:

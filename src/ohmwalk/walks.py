@@ -128,6 +128,14 @@ class WalkConfig:
             raise ValueError(f"max_steps must be in [1, {_MAX_STEPS_LIMIT})")
 
 
+def z_test_config(trials: int, seed: int = 0, max_steps: int | None = None) -> WalkConfig:
+    """Settings for a run that ends in a z-test, which needs a standard
+    error and so at least two trials."""
+    if trials < 2:
+        raise ValueError("trials must be >= 2 for a z-test")
+    return WalkConfig(trials=trials, seed=seed, max_steps=max_steps)
+
+
 @dataclass(frozen=True)
 class FptEstimate:
     mean: float
@@ -139,12 +147,12 @@ class FptEstimate:
     def valid(self) -> bool:
         return self.truncated == 0
 
-    def z_score(self, exact: float) -> float:
-        """(mean - exact) / stderr; NaN when the stderr is 0 or infinite
-        (fewer than two trials), so that no bound on |z| can pass."""
-        if 0 < self.stderr < math.inf:
-            return (self.mean - exact) / self.stderr
-        return math.nan
+    def z_test(self, exact: float) -> tuple[float, bool]:
+        """z = (mean - exact) / stderr, and whether the estimate agrees with
+        `exact`: |z| <= 4 and no walk truncated.  z is NaN, and fails, when
+        the stderr is 0 or infinite (fewer than two trials)."""
+        z = (self.mean - exact) / self.stderr if 0 < self.stderr < math.inf else math.nan
+        return z, self.valid and abs(z) <= 4.0
 
 
 def simulate_fpt(

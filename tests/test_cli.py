@@ -195,6 +195,33 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_one_trial_message_is_the_one_of_simulate(self, capsys):
+        verify = run(capsys, "verify", "--n-max", "7", "--trials", "1")
+        simulate = run(capsys, "simulate", "--n", "7", "--l", "1", "--trials", "1")
+        assert verify == simulate == (2, "", "error: trials must be >= 2 for a z-test\n")
+
+    @pytest.mark.parametrize("tol", [1e-30, 3e-16, 1e-9])
+    def test_tolerance_reaches_every_float_row(self, capsys, tol):
+        code, out, _ = run(capsys, "verify", "--n-max", "9", "--trials", "2000",
+                           "--format", "json", f"--tolerance={tol}")
+        rows = json.loads(out)["rows"]
+        for row in rows:
+            if row["check"] in ("symmetry_identity", "sequence_identities") or row["detail"] == "exact":
+                assert row["passed"], row
+            elif row["check"] == "monte_carlo":  # a z-test, in its own unit
+                assert row["passed"] == (row["max_dev"] <= 4.0), row
+            else:
+                bound = min(tol, 1e-12) if row["check"] == "conjugate_ratio" else tol
+                assert row["passed"] == (row["max_dev"] <= bound), row
+        assert code == (0 if all(row["passed"] for row in rows) else 3)
+
+    def test_float_markov_row_passes_exactly_up_to_the_tolerance(self):
+        # n above 60 takes the float route, which `verify --n-max 9` never reaches
+        row = checks.check_markov(61, 1.0)
+        assert row.detail == "float" and row.max_dev > 0
+        assert checks.check_markov(61, row.max_dev).passed
+        assert not checks.check_markov(61, row.max_dev / 2).passed
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, value):
         code, out, err = run(capsys, "verify", "--n-max", "5", f"--tolerance={value}")

@@ -111,6 +111,12 @@ CONTROLS = {
         mutant(walks._solve_exact, "// prev for", "// p for"),  # this pivot, not the last
         at_every_n("markov_fpt"),
     ),
+    # a check that raises is a FAIL row, not a crash of the whole suite
+    "bareiss_zero_divisor": (
+        walks._solve_exact,
+        mutant(walks._solve_exact, "prev = 1\n", "prev = 0\n"),
+        at_every_n("markov_fpt"),
+    ),
     "all_resistances_skew": (
         spectral.all_resistances,
         scaled(spectral.all_resistances, 1 + 1e-7),
