@@ -1,22 +1,22 @@
-"""Numpy walk kernel: runs the trials of a block in lockstep as uint64
-arrays, bit-for-bit equivalent to `_walk_py.run_trials`, whose docstring
-states the RNG contract.
+"""Numpy walk kernel, bit-for-bit equivalent to `_walk_py.run_trials`, whose
+docstring states the RNG contract; uint64 arithmetic wraps mod 2^64.
 
-numpy's uint64 arithmetic wraps mod 2^64 as SplitMix64 requires.  All live
-trials of a block have taken the same number of steps, so those that reach
-the target at step k add k and k^2 each to the sums and are compacted out.
-Sums stay Python ints: an int64 sum of squared steps overflows near
-max_steps = 2^31 - 1.
+A pool of BLOCK slots advances in lockstep.  A slot whose trial ends takes
+the next trial index and keeps the iteration it started at, so trials need
+not share a step count.  Once none is left to start and at most TAIL are
+live, the spec's `_walk_py._finish` runs each to its end, cheaper there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Trials advanced together.  Substreams are indexed globally, so blocking is
-# exact; the size trades memory (a few arrays of BLOCK words) against the
-# fixed cost of each numpy call, paid once per step of every block.
+from . import _walk_py
+
+# Slots in the pool; trial t runs on substream t whatever its slot.  The size
+# trades memory (a few arrays of BLOCK words) against numpy's cost per call.
 BLOCK = 1 << 14
+TAIL = 32  # live trials at or below which the scalar spec finishes the call
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -35,6 +35,12 @@ def _mix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _square_sum(steps: np.ndarray) -> int:
+    """Exact sum of squares of steps in [0, 2^31), as hi * 2^16 + lo: no int64 dot overflows."""
+    hi, lo = steps >> 16, steps & 0xFFFF
+    return (int(hi @ hi) << 32) + (int(hi @ lo) << 17) + int(lo @ lo)
+
+
 def run_trials(
     n: int,
     offsets: tuple[int, ...],
@@ -47,54 +53,75 @@ def run_trials(
 ) -> tuple[int, int, int]:
     """Same contract and result as `_walk_py.run_trials`: (sum of steps,
     sum of squared steps, number of truncated trials)."""
+    if source == target or not max_steps:  # no trial takes a step
+        return _walk_py.run_trials(n, offsets, source, target, trials, seed, max_steps, trial_offset)
     offs = np.asarray([o % n for o in offsets], dtype=np.uint64)
     deg = np.uint64(len(offsets))
     rem = (1 << 64) % len(offsets)  # 0: every draw is accepted
     threshold = np.uint64(-rem % (1 << 64))
+    size = min(BLOCK, trials)
+    tmp = np.empty(size, dtype=np.uint64)
+    draws = np.empty(size, dtype=np.uint64)
+    state = np.empty(size, dtype=np.uint64)
+    pos = np.empty(size, dtype=np.uint64)
+    start = np.empty(size, dtype=np.int64)  # iteration at which each slot's trial started
+    idle = np.arange(size)  # slots whose trial has ended
     total = total_sq = truncated = 0
-    end = trial_offset + trials
-    for start in range(trial_offset, end, BLOCK):
-        count = min(BLOCK, end - start)
-        tmp = np.empty(count, dtype=np.uint64)
-        draws = np.empty(count, dtype=np.uint64)
-        # trial t starts from mix(seed + (t+1)*gamma); the block's first term
-        # is exact in Python ints, the per-trial increments wrap in uint64
-        state = np.arange(count, dtype=np.uint64) * _GAMMA
-        state += np.uint64((seed + (start + 1) * int(_GAMMA)) % (1 << 64))
-        _mix(state, state, tmp)
-        pos = np.full(count, source, dtype=np.uint64)
-        steps = 0
-        while True:
-            live = np.flatnonzero(pos != target)
-            done = pos.size - live.size
-            if done:
-                total += done * steps
-                total_sq += done * steps * steps
-                state, pos = state.take(live), pos.take(live)
-            if steps == max_steps or not pos.size:
-                break
-            m = pos.size
-            state += _GAMMA
-            draw = _mix(state, draws[:m], tmp[:m])
-            if rem and draw.max() >= threshold:
-                bad = np.flatnonzero(draw >= threshold)
-                while bad.size:  # advance and draw again until accepted
-                    fresh = state[bad] + _GAMMA
-                    state[bad] = fresh
-                    draw[bad] = _mix(fresh, fresh, tmp[: bad.size])
-                    bad = bad[fresh >= threshold]
-            # draw % deg, as draw - (draw // deg) * deg: numpy divides by a
-            # scalar through libdivide, several times faster than remainder
-            quot = np.floor_divide(draw, deg, out=tmp[:m])
-            quot *= deg
-            draw -= quot
-            pos += np.take(offs, draw.view(np.int64))
-            # offsets lie in [0, n), so pos < 2n; pos - n wraps past pos
-            # unless pos >= n, and the minimum of the two is pos mod n
-            np.subtract(pos, n, out=quot)
-            np.minimum(pos, quot, out=pos)
-            steps += 1
-        truncated += pos.size
-        total += pos.size * steps
-        total_sq += pos.size * steps * steps
-    return total, total_sq, truncated
+    nxt, end = trial_offset, trial_offset + trials
+    it = oldest = 0  # lockstep iteration; a lower bound on the live starts
+    while True:
+        k = min(idle.size, end - nxt)
+        if k:
+            # trial t starts from mix(seed + (t+1)*gamma), wrapping in uint64
+            fresh = np.multiply(np.arange(k, dtype=np.uint64), _GAMMA, out=draws[:k])
+            fresh += np.uint64((seed + (nxt + 1) * int(_GAMMA)) % (1 << 64))
+            state[idle[:k]] = _mix(fresh, fresh, tmp[:k])
+            pos[idle[:k]] = source
+            start[idle[:k]] = it
+            nxt += k
+        if k < idle.size:  # no trial left to start: close the other slots
+            keep = np.ones(pos.size, dtype=bool)
+            keep[idle[k:]] = False
+            # one at a time, so that only one old array outlives its copy
+            state = state[keep]
+            pos = pos[keep]
+            start = start[keep]
+        if nxt == end and pos.size <= TAIL:
+            for s, p, b in zip(state.tolist(), pos.tolist(), start.tolist()):
+                steps, cut = _walk_py._finish(s, p, it - b, n, offsets, target, max_steps)
+                total += steps
+                total_sq += steps * steps
+                truncated += cut
+            return total, total_sq, truncated
+        m = pos.size
+        state += _GAMMA
+        draw = _mix(state, draws[:m], tmp[:m])
+        if rem and draw.max() >= threshold:
+            bad = np.flatnonzero(draw >= threshold)
+            while bad.size:  # advance and draw again until accepted
+                fresh = state[bad] + _GAMMA
+                state[bad] = fresh
+                draw[bad] = _mix(fresh, fresh, tmp[: bad.size])
+                bad = bad[fresh >= threshold]
+        # draw % deg, as draw - (draw // deg) * deg: numpy divides by a
+        # scalar through libdivide, several times faster than remainder
+        quot = np.floor_divide(draw, deg, out=tmp[:m])
+        quot *= deg
+        draw -= quot
+        pos += np.take(offs, draw.view(np.int64))
+        # offsets lie in [0, n), so pos < 2n; pos - n wraps past pos
+        # unless pos >= n, and the minimum of the two is pos mod n
+        np.subtract(pos, n, out=quot)
+        np.minimum(pos, quot, out=pos)
+        it += 1
+        done = pos == target
+        if it - max_steps >= oldest:  # the oldest live trial may be at max_steps
+            oldest = int(start.min())
+            cut = start == it - max_steps
+            truncated += int(np.count_nonzero(cut & ~done))
+            done |= cut
+        idle = np.flatnonzero(done)
+        if idle.size:
+            steps = it - start[idle]
+            total += int(steps.sum())
+            total_sq += _square_sum(steps)

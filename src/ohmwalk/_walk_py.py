@@ -1,6 +1,6 @@
 """Pure-Python walk kernel: the executable specification of the trial
-loop.  `_walk_np` is the kernel simulate_fpt runs; the tests hold it to
-bit-for-bit equal sums with this one.
+loop.  `_walk_np` is the kernel simulate_fpt runs, and it hands its last
+few trials to `_finish`; the tests hold the two to bit-for-bit equal sums.
 
 RNG contract (shared by both, and part of the public reproducibility
 promise):
@@ -27,6 +27,24 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _finish(
+    state: int, pos: int, steps: int, n: int, offsets: tuple[int, ...], target: int, max_steps: int
+) -> tuple[int, bool]:
+    """Walk one trial on from (state, pos, steps) until it reaches target or
+    max_steps; returns its steps and whether it was truncated."""
+    deg = len(offsets)
+    threshold = (1 << 64) - (1 << 64) % deg  # accept-all when deg divides 2^64
+    while pos != target and steps < max_steps:
+        while True:
+            state = (state + _GAMMA) & _MASK
+            r = _mix(state)
+            if r < threshold:
+                break
+        pos = (pos + offsets[r % deg]) % n
+        steps += 1
+    return steps, pos != target
+
+
 def run_trials(
     n: int,
     offsets: tuple[int, ...],
@@ -42,26 +60,11 @@ def run_trials(
     truncated trials).  Exact integer accumulation makes the reduction
     order irrelevant.
     """
-    deg = len(offsets)
-    rem = (1 << 64) % deg
-    threshold = (1 << 64) - rem  # accept-all when rem == 0
-    total = 0
-    total_sq = 0
-    truncated = 0
+    total = total_sq = truncated = 0
     for t in range(trial_offset, trial_offset + trials):
         state = _mix((seed + (t + 1) * _GAMMA) & _MASK)
-        pos = source
-        steps = 0
-        while pos != target and steps < max_steps:
-            while True:
-                state = (state + _GAMMA) & _MASK
-                r = _mix(state)
-                if r < threshold:
-                    break
-            pos = (pos + offsets[r % deg]) % n
-            steps += 1
-        if pos != target:
-            truncated += 1
+        steps, cut = _finish(state, source, 0, n, offsets, target, max_steps)
         total += steps
         total_sq += steps * steps
+        truncated += cut
     return total, total_sq, truncated

@@ -3,10 +3,10 @@ commute, and mean-first-passage times for the complete-minus-opposite
 family, an exact first-step-analysis oracle, and a seeded Monte Carlo
 simulator.
 
-The simulator's trial loop is the numpy lockstep kernel `_walk_np`; the
-pure-Python `_walk_py` is its executable specification, and the tests hold
-the two to bit-for-bit equal sums, so results never depend on trial
-chunking or on execution order.
+The simulator runs `_walk_np`, a refilled pool of trials in numpy lockstep
+that hands its last few trials to the pure-Python spec `_walk_py`.  Every
+trial has its own substream and the tests hold the two to bit-for-bit equal
+sums, so results never depend on chunking, pool slots or execution order.
 """
 
 from __future__ import annotations

@@ -42,6 +42,33 @@ def _kernel_args(n, l, trials, seed, max_steps, offset=0):
     return (n, offs, 0, l, trials, seed, max_steps, offset)
 
 
+# Inputs of the kernel parity property: odd n, source 0, any target.
+parity_cases = given(
+    data=st.data(),
+    n=st.integers(2, 12).map(lambda k: 2 * k + 1),
+    seed=st.integers(0, 2**64 - 1),
+    offset=st.integers(0, 2**40),
+    trials=st.integers(1, 300),
+    max_steps=st.integers(1, 2000),
+)
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """(steps at handoff, steps at the end, truncated) of every trial that
+    reaches `_walk_py._finish`, the scalar loop that runs the kernel's tail."""
+    seen = []
+    finish = _walk_py._finish
+
+    def spy(state, pos, steps, *walk):
+        end = finish(state, pos, steps, *walk)
+        seen.append((steps, *end))
+        return end
+
+    monkeypatch.setattr(_walk_py, "_finish", spy)
+    return seen
+
+
 class TestClosedForms:
     def test_fpt_values(self):
         assert fpt_closed(5, 2) == 6
@@ -257,9 +284,15 @@ class TestSimulate:
         offs = cycle_graph(5).neighbor_offsets()
         args = (5, offs, 0, 2, 2000, 31337, 2500, 12345)
         assert _walk_py.run_trials(*args) == _walk_np.run_trials(*args)
-        # one call spanning a block boundary, truncating some trials
+        # one call with more trials than pool slots, truncating some trials
         args = _kernel_args(7, 3, _walk_np.BLOCK + 300, 5, 12, 777)
         assert _walk_py.run_trials(*args) == _walk_np.run_trials(*args)
+
+    def test_walks_that_take_no_step(self):
+        offs = cycle_graph(5).neighbor_offsets()
+        for source, target, max_steps in ((2, 2, 50), (0, 2, 0)):
+            args = (5, offs, source, target, 100, 9, max_steps)
+            assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
 
     def test_rejecting_seed_rejects_first_draw(self):
         gamma, mask = _walk_py._GAMMA, (1 << 64) - 1
@@ -273,19 +306,71 @@ class TestSimulate:
         assert _walk_py.run_trials(*args) == sums
         assert _walk_np.run_trials(*args) == sums
 
-    @given(
-        data=st.data(),
-        n=st.integers(2, 12).map(lambda k: 2 * k + 1),
-        seed=st.integers(0, 2**64 - 1),
-        offset=st.integers(0, 2**40),
-        trials=st.integers(1, 300),
-        max_steps=st.integers(1, 2000),
-    )
+    @parity_cases
     @settings(max_examples=40, deadline=None)
     def test_kernel_parity_property(self, data, n, seed, offset, trials, max_steps):
         l = data.draw(st.integers(1, n - 1))
         args = _kernel_args(n, l, trials, seed, max_steps, offset)
         assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
+
+    # pools this small refill their slots over many generations, truncate
+    # freshly refilled trials and start mid-call at any trial offset
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @parity_cases
+    @settings(max_examples=10, deadline=None)
+    def test_kernel_parity_property_small_pools(self, block, data, n, seed, offset, trials, max_steps):
+        l = data.draw(st.integers(1, n - 1))
+        args = _kernel_args(n, l, trials, seed, max_steps, offset)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_walk_np, "BLOCK", block)
+            assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
+
+    def test_few_trials_are_handed_off_at_step_zero(self, handoffs):
+        args = _kernel_args(9, 4, _walk_np.TAIL, 3, 8100)
+        expected = _walk_py.run_trials(*args)
+        handoffs.clear()
+        assert _walk_np.run_trials(*args) == expected
+        assert [handed for handed, _, _ in handoffs] == [0] * _walk_np.TAIL
+
+    def test_tail_is_handed_off_mid_walk(self, handoffs):
+        args = _kernel_args(51, 25, 2000, 8, 260100)
+        expected = _walk_py.run_trials(*args)
+        handoffs.clear()
+        assert _walk_np.run_trials(*args) == expected
+        assert 0 < len(handoffs) <= _walk_np.TAIL
+        assert all(0 < handed < end for handed, end, _ in handoffs)
+
+    def test_truncation_inside_the_tail(self, handoffs):
+        args = _kernel_args(51, 25, 2000, 8, 300)
+        expected = _walk_py.run_trials(*args)
+        handoffs.clear()
+        assert _walk_np.run_trials(*args) == expected
+        assert expected[2] > 0
+        assert any(handed < 300 and cut for handed, _, cut in handoffs)
+
+    # KNOWN_ANSWERS[3] is left out: its live trials all end at max_steps = 10
+    # in one iteration, so none is handed off
+    @pytest.mark.parametrize("case, sums", KNOWN_ANSWERS[:3] + KNOWN_ANSWERS[4:])
+    def test_fault_in_the_tail_is_seen(self, monkeypatch, handoffs, case, sums):
+        # the tail runs in _walk_py, so a fault planted there, and not in
+        # the numpy mix, must still change the numpy kernel's sums
+        mix = _walk_py._mix
+        monkeypatch.setattr(_walk_py, "_mix", lambda z: mix(z) | 1)
+        assert _walk_np.run_trials(*_kernel_args(*case)) != sums
+        assert handoffs
+
+    @pytest.mark.parametrize("trials, sums", [(4, (42565, 582646765, 0)), (64, (638986, 9485495076, 0))])
+    def test_few_long_walks(self, trials, sums):
+        # cycle_graph(201) to the antipode takes 100 * 101 steps on average
+        args = (201, cycle_graph(201).neighbor_offsets(), 0, 100, trials, 0, 100 * 201**2)
+        assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args) == sums
+
+    def test_square_sum_is_exact_near_the_step_limit(self):
+        steps = np.arange(2**31 - _walk_np.BLOCK, 2**31, dtype=np.int64)
+        expected = sum(s * s for s in steps.tolist())
+        assert int(steps @ steps) != expected  # an int64 dot wraps
+        assert _walk_np._square_sum(steps) == expected
+        assert _walk_np._square_sum(steps[:0]) == 0
 
     def test_estimates_within_stderr_band(self):
         cases = [(5, 2, 6.0), (7, 1, 76 / 13)]
