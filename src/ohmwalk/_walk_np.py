@@ -108,7 +108,7 @@ def run_trials(
         quot = np.floor_divide(draw, deg, out=tmp[:m])
         quot *= deg
         draw -= quot
-        pos += np.take(offs, draw.view(np.int64))
+        pos += np.take(offs, draw.view(np.int64), out=quot, mode="clip")  # draw < deg
         # offsets lie in [0, n), so pos < 2n; pos - n wraps past pos
         # unless pos >= n, and the minimum of the two is pos mod n
         np.subtract(pos, n, out=quot)

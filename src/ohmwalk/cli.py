@@ -18,7 +18,7 @@ from fractions import Fraction
 from .checks import run_suite
 from .circulant import complete_minus_opposite
 from .resistance import resistance_report, total_effective_resistance
-from .spectral import eigenvalues_minus_opposite, spectral_resistance
+from .spectral import eigenvalues_minus_opposite, rel_dev_from, spectral_resistance
 from .exact import SequenceContext, bejaia_sequence, decimal_str, pisa_sequence
 from .walks import fpt_closed, mfpt_closed, simulate_fpt, z_test_config
 
@@ -29,10 +29,6 @@ EXIT_ORACLE = 3
 
 def _frac_str(x: Fraction) -> str:
     return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
-
-
-def _rel_to_exact(exact: Fraction, oracle: float) -> float:
-    return abs(float(exact) - oracle) / max(abs(float(exact)), 1e-300)
 
 
 def _emit(args, record: dict, plain_lines: list[str], csv_rows: list[list]) -> None:
@@ -66,7 +62,7 @@ def _emit_scalar(args, command: str, inputs: dict, exact: Fraction, devs: dict, 
 
 def _spectral_scalar(args, command: str, inputs: dict, exact: Fraction, oracle: float, note: str = "") -> int:
     """Emit `exact` with its deviation from the spectral `oracle`; exit on it."""
-    dev = _rel_to_exact(exact, oracle)
+    dev = rel_dev_from(oracle, float(exact))
     _emit_scalar(args, command, inputs, exact, {"spectral": dev}, note)
     return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
 
@@ -74,8 +70,8 @@ def _spectral_scalar(args, command: str, inputs: dict, exact: Fraction, oracle: 
 def cmd_resistance(args) -> int:
     rep = resistance_report(args.n, args.l)
     devs = {
-        "radical": _rel_to_exact(rep.exact, rep.float_closed),
-        "spectral": _rel_to_exact(rep.exact, rep.spectral),
+        "radical": rel_dev_from(rep.float_closed, float(rep.exact)),
+        "spectral": rel_dev_from(rep.spectral, float(rep.exact)),
     }
     _emit_scalar(args, "resistance", {"n": args.n, "l": args.l}, rep.exact, devs)
     return EXIT_OK if rep.max_rel_dev <= args.tolerance else EXIT_ORACLE

@@ -171,7 +171,7 @@ def test_criterion_11_series_identities():
     worst = 0.0
     for n in (5, 7, 9, 11):
         report = series_identities(n, 100 * n)
-        assert report.all_ok, [i for i in report.identities() if not i.ok]
+        assert all(i.rel_dev <= 1e-8 for i in report.identities()), report
         worst = max(worst, max(i.rel_dev for i in report.identities()))
         if n == 5:
             assert abs(report.central_binomial.closed - math.sqrt(5)) < 1e-12

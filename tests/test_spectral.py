@@ -11,6 +11,7 @@ from ohmwalk.circulant import (
 )
 from ohmwalk.exact import SequenceContext, pisa
 from ohmwalk.spectral import (
+    _folded_rows,
     all_resistances,
     chebyshev_normalized,
     cos_odd_power_sum,
@@ -158,6 +159,18 @@ class TestPowerSums:
         with pytest.raises(ValueError):
             cos_odd_power_sum(6, 1)
 
+    def test_period_below_one_raises(self):
+        # the folded loop never ends for n <= 0; it must refuse them instead
+        for n, k in ((0, 1), (-3, 2)):
+            with pytest.raises(ValueError):
+                sin_power_sum(n, k)
+        with pytest.raises(ValueError):
+            folded_alternating(3, 0)
+
+    def test_period_one_is_the_empty_sum(self):
+        for k in (1, 2, 7):
+            assert sin_power_sum(1, k) == 0.0 == sin_power_sum_direct(1, k)
+
 
 class TestChebyshev:
     def test_small_orders(self):
@@ -191,6 +204,49 @@ class TestChebyshev:
                 assert chebyshev_normalized(l, n - 2) == pisa(ctx, 2 * l)
 
 
+def _reference_series_sums(n, checkpoints):
+    """The four truncated series of `series_identities` by a factorial table
+    and one binomial per fold, as the walk's direct reference: the sums
+    (central, alternating, even, odd) at each truncation in `checkpoints`,
+    with the same envelope cut-off."""
+    top = max(checkpoints)
+    fact = [1] * (2 * top + 1)
+    for i in range(1, len(fact)):
+        fact[i] = fact[i - 1] * i
+
+    def comb(a, b):
+        return fact[a] // (fact[b] * fact[a - b])
+
+    t_central = t_alt = t_even = t_odd = 0.0
+    npow = 1
+    dead = 0
+    sums = {}
+    for big_j in range(top + 1):
+        central = comb(2 * big_j, big_j)
+        s_even = 0
+        s_odd = 0
+        p = 1
+        while big_j - p * n >= 0:
+            c = comb(2 * big_j, big_j - p * n)
+            if p % 2 == 0:
+                s_even += c
+            else:
+                s_odd += c
+            p += 1
+        t_central += central / npow
+        t_alt += (s_even - s_odd) / npow
+        t_even += s_even / npow
+        t_odd += s_odd / npow
+        sums[big_j] = (t_central, t_alt, t_even, t_odd)
+        if big_j > 2 * n and (central * (big_j + 2 * n)) / (npow * n) == 0.0:
+            dead += 1
+            if dead >= 3:
+                break
+        npow *= n
+    last = sums[max(sums)]  # past the cut-off the sums do not change
+    return {t: sums.get(t, last) for t in checkpoints}
+
+
 class TestSeriesIdentities:
     def test_central_binomial_value(self):
         report = series_identities(5, 500)
@@ -200,7 +256,7 @@ class TestSeriesIdentities:
     def test_all_identities_small_n(self):
         for n in (5, 7):
             report = series_identities(n, 100 * n)
-            assert report.all_ok, [i for i in report.identities() if not i.ok]
+            assert all(i.rel_dev <= 1e-8 for i in report.identities()), report
 
     def test_alternating_closed_form_sign(self):
         report = series_identities(5, 500)
@@ -211,8 +267,32 @@ class TestSeriesIdentities:
 
     def test_too_small_truncation_is_flagged(self):
         report = series_identities(5, 10)
-        assert not report.central_binomial.ok
-        assert not report.all_ok
+        assert report.central_binomial.rel_dev > 1e-8
+        assert any(i.rel_dev > 1e-8 for i in report.identities())
+
+    def test_report_measures_and_does_not_judge(self):
+        report = series_identities(5, 10)
+        assert not hasattr(report, "all_ok") and not hasattr(report, "tol")
+        assert not hasattr(report.central_binomial, "ok")
+        with pytest.raises(TypeError):
+            series_identities(5, 10, tol=1e-8)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_walk_matches_factorial_table_reference(self, n):
+        checkpoints = (1, n - 1, n, 2 * n, 100 * n)
+        expected = _reference_series_sums(n, checkpoints)
+        for truncation in checkpoints:
+            report = series_identities(n, truncation)
+            got = tuple(i.truncated for i in report.identities())
+            assert got == expected[truncation], (n, truncation)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_walk_folded_sums_match_folded_alternating(self, n):
+        rows = list(_folded_rows(n, 4 * n + 1))
+        assert len(rows) == 4 * n + 1
+        for big_j, (central, s_even, s_odd) in enumerate(rows):
+            assert central == math.comb(2 * big_j, big_j)
+            assert folded_alternating(big_j, n) == s_even - s_odd, (n, big_j)
 
     def test_domain_validated(self):
         with pytest.raises(ValueError):
