@@ -21,7 +21,7 @@ perfbench's exact_large_n repetitions under the 25 ms period of its
 reference sampler, which then finds no sample (see ROADMAP).  Memory
 stays linear in the size of the result.  A second, independent route
 evaluates the same formula through its radical (conjugate-unit) shape in
-arbitrary precision, and a third comes from the Laplacian eigenvalue sum
+stdlib `decimal`, and a third comes from the Laplacian eigenvalue sum
 (`spectral.spectral_resistance`).
 """
 
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .circulant import complete_minus_opposite
@@ -63,14 +63,14 @@ def two_point_resistance_radical(n: int, l: int) -> float:
         B_{2l} - sqrt(d) * B_l^2 * (1 - qb^n) / (1 + qb^n),
 
     with B's from their conjugate-power expressions and qb the conjugate
-    unit.  The subtraction cancels ~2*l*log10(n) leading digits, far past
-    double precision for mid-sized n, so the evaluation runs in mpmath at
-    a working precision scaled to the cancellation and is rounded to a
-    double at the end.
+    unit.  The subtraction cancels ~2*l*log10(n) leading digits, so it runs
+    in a fresh `decimal` context (no caller's context reaches it) of that
+    many digits plus 30, with the widest exponent range, and is rounded to
+    a double at the end.
     """
     _, l = _validate_pair(n, l)
-    with mpmath.workdps(int(2 * l * math.log10(n)) + 30):
-        root = mpmath.sqrt(n * (n - 4))
+    with localcontext(Context(int(2 * l * math.log10(n)) + 30, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        root = Decimal(n * (n - 4)).sqrt()
         unit = (n - 2 + root) / 2
         conj = (n - 2 - root) / 2
         b_2l = (unit ** (2 * l) - conj ** (2 * l)) / root

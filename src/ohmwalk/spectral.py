@@ -218,14 +218,20 @@ def _identity(name: str, truncated: float, closed: float) -> SeriesIdentity:
 
 
 def _folded_rows(n: int, rows: int):
-    """(C(2J,J), even folded sum, odd folded sum) for J < rows.  c[r] sums
-    C(2J, J+k) over k = r (mod 2n); row J+1 is the cyclic (1, 2, 1) step of
-    row J, and by k <-> -k symmetry even = (c[0] - C(2J,J))/2, odd = c[n]/2."""
-    c = [1] + [0] * (2 * n - 1)  # row 0: C(0, 0) at k = 0
-    for big_j in range(rows):
-        central = math.comb(2 * big_j, big_j)
-        yield central, (c[0] - central) // 2, c[n] // 2
-        c = [a + 2 * b + d for a, b, d in zip(c[-1:] + c[:-1], c, c[1:] + c[:1])]
+    """(C(2J,J), even folded sum, odd folded sum) for J < rows.  Row J+1 is
+    the (1, 2, 1) step of row J.  Below row n nothing folds: row[J+k] is
+    C(2J, J+k), |k| <= J.  From row n, c[r] sums C(2J, J+k) over k = r
+    (mod 2n), cyclically; by k <-> -k, even = (c[0] - C(2J,J))/2, odd = c[n]/2."""
+    row = [1]  # row 0: C(0, 0)
+    for big_j in range(min(rows, n)):
+        yield row[big_j], 0, 0
+        row = [a + 2 * b + d for a, b, d in zip([0, 0] + row, [0] + row + [0], row + [0, 0])]
+    if rows > n:
+        c = row[n : 2 * n] + [row[0] + row[2 * n]] + row[1:n]
+        for big_j in range(n, rows):
+            central = math.comb(2 * big_j, big_j)
+            yield central, (c[0] - central) // 2, c[n] // 2
+            c = [a + 2 * b + d for a, b, d in zip(c[-1:] + c[:-1], c, c[1:] + c[:1])]
 
 
 def series_identities(n: int, truncation: int) -> SeriesReport:

@@ -26,6 +26,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(*args):
+    """A fresh interpreter on this tree's src/, started at the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+
+
 class TestResistance:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "resistance", "--n", "7", "--l", "1", "--format", "json")
@@ -340,15 +350,23 @@ class TestPlumbing:
         assert num * pow(den, -1, p) % p == expected
 
     def test_module_entry_point(self, capsys):
-        root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ohmwalk.cli", "resistance", "--n", "7", "--l", "1"],
-            cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        )
+        proc = fresh_python("-m", "ohmwalk.cli", "resistance", "--n", "7", "--l", "1")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run(capsys, "resistance", "--n", "7", "--l", "1")[1]
         assert proc.stdout.startswith("resistance n=7 l=1: 38/91 = ")
+
+    def test_runs_without_mpmath(self, capsys):
+        # the import does not load mpmath, and with it made unimportable the
+        # radical route still runs at a precision past double
+        script = (
+            "import sys, ohmwalk.cli\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+            "sys.modules['mpmath'] = None\n"
+            "sys.exit(ohmwalk.cli.main(['resistance', '--n', '101', '--l', '50']))\n"
+        )
+        proc = fresh_python("-c", script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(capsys, "resistance", "--n", "101", "--l", "50")[1]
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -104,6 +105,19 @@ class TestRadicalRoute:
             float(two_point_resistance(101, 50)), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "caller",
+        [None, decimal.Context(prec=5, Emax=10, traps=[decimal.Inexact])],
+        ids=["default_context", "trapping_caller_context"],
+    )
+    def test_rounds_to_the_exact_value(self, caller):
+        # bit for bit, for every l at odd n <= 101 and at two mid-range
+        # distances; a caller's decimal context must not reach the route
+        cases = [(n, l) for n in range(5, 102, 2) for l in range(1, n)]
+        with decimal.localcontext(caller or decimal.getcontext()):
+            for n, l in cases + [(401, 200), (2001, 1000)]:
+                assert two_point_resistance_radical(n, l) == float(two_point_resistance(n, l)), (n, l)
+
     def test_conjugate_ratio_double_precision(self):
         # the rationalized d*B_n/(P_n+2) against the literal radical form
         for n in range(5, 50, 2):
@@ -204,9 +218,10 @@ class TestReport:
 def test_exact_spectral_and_radical_routes_agree(n):
     # odd n <= 401, every distance l, on both sides of the l <-> n-l fold
     g = complete_minus_opposite(n)
+    spectrum = spectral.all_resistances(g)  # spectral_resistance(g, l) reads spectrum[l]
     for l in range(1, n):
         exact = float(two_point_resistance(n, l))
-        assert spectral_resistance(g, l) == pytest.approx(exact, rel=1e-13, abs=0)
+        assert spectrum[l] == pytest.approx(exact, rel=1e-13, abs=0)
         assert two_point_resistance_radical(n, l) == pytest.approx(exact, rel=1e-13, abs=0)
     kirchhoff = n * eigenvalues_circulant(g).reciprocal_sum()
     assert float(total_effective_resistance(n)) == pytest.approx(kirchhoff, rel=1e-13, abs=0)
