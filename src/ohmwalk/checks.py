@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circulant import complete_minus_opposite
+from .circulant import complete_graph, complete_minus_opposite
 from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, resistance_gcd_bound
 from .exact import sequence_pair, sum_bejaia_even, sum_bejaia_squares
 from .resistance import (
@@ -46,12 +46,9 @@ class CheckResult:
 
 
 def check_sin_identity(n: int, tol: float) -> CheckResult:
-    # 4 * sum_{m<=(n-1)/2} sin^2(k*m*pi/n) == n for every mode k
-    dev = max(
-        abs(4.0 * sum(math.sin(k * m * math.pi / n) ** 2 for m in range(1, (n - 1) // 2 + 1)) - n)
-        / n
-        for k in range(1, n)
-    )
+    # 4 * sum_{m<=(n-1)/2} sin^2(k*m*pi/n) == n for every mode k: each nonzero
+    # Laplacian eigenvalue of the complete graph K_n, in its sine form, is n
+    dev = max(abs(lam - n) for lam in eigenvalues_circulant(complete_graph(n)).values[1:]) / n
     return CheckResult("sin_identity", n, dev, dev <= tol)
 
 

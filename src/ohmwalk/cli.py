@@ -20,7 +20,7 @@ from .circulant import complete_minus_opposite
 from .resistance import resistance_report, total_effective_resistance
 from .spectral import eigenvalues_minus_opposite, rel_dev_from, spectral_resistance
 from .exact import SequenceContext, bejaia_sequence, decimal_str, pisa_sequence
-from .walks import fpt_closed, mfpt_closed, simulate_fpt, z_test_config
+from .walks import fpt_closed, mfpt_closed, mfpt_degree, simulate_fpt, z_test_config
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,8 +86,7 @@ def cmd_fpt(args) -> int:
 
 def cmd_mfpt(args) -> int:
     exact = mfpt_closed(args.n, args.variant)
-    degree = args.n - 3 if args.variant == "corrected" else args.n - 1
-    oracle = degree * eigenvalues_minus_opposite(args.n).reciprocal_sum()
+    oracle = mfpt_degree(args.n, args.variant) * eigenvalues_minus_opposite(args.n).reciprocal_sum()
     note = "" if args.variant == "corrected" else (
         "the 'paper' variant scales by n-1, but this graph is (n-3)-regular; "
         "the walk-average mean is the 'corrected' value, smaller by (n-3)/(n-1)"

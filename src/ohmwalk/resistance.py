@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
 import numpy as np
@@ -64,12 +65,14 @@ def two_point_resistance_radical(n: int, l: int) -> float:
 
     with B's from their conjugate-power expressions and qb the conjugate
     unit.  The subtraction cancels ~2*l*log10(n) leading digits, so it runs
-    in a fresh `decimal` context (no caller's context reaches it) of that
-    many digits plus 30, with the widest exponent range, and is rounded to
-    a double at the end.
+    in a `decimal` context of that many digits plus 30 and the widest
+    exponent range, every field given so that neither the caller's context
+    nor `decimal.DefaultContext` reaches it, and is rounded to a double.
     """
     _, l = _validate_pair(n, l)
-    with localcontext(Context(int(2 * l * math.log10(n)) + 30, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+    prec = int(2 * l * math.log10(n)) + 30
+    traps = [InvalidOperation, DivisionByZero, Overflow]
+    with localcontext(Context(prec, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, flags=[], traps=traps, clamp=0)):
         root = Decimal(n * (n - 4)).sqrt()
         unit = (n - 2 + root) / 2
         conj = (n - 2 - root) / 2

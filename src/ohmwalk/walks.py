@@ -45,18 +45,19 @@ def commute_time_closed(n: int, l: int) -> Fraction:
     return 2 * fpt_closed(n, l)
 
 
-def mfpt_closed(n: int, variant: str = "corrected") -> Fraction:
-    """Mean first-passage time averaged over all targets (divided by n).
-
-    variant='corrected' uses the true degree n-3 of the graph and equals
-    (1/n) * sum over targets of fpt_closed.  variant='paper' reproduces
-    the printed formula whose prefactor treats the degree as n-1; it
-    overstates the mean by exactly (n-1)/(n-3).
-    """
+def mfpt_degree(n: int, variant: str) -> int:
+    """The degree in the mean first-passage time's prefactor: the true degree
+    n-3 for variant='corrected', n-1 for 'paper', as the printed formula has it."""
     if variant not in ("corrected", "paper"):
         raise ValueError(f"variant must be 'corrected' or 'paper', got {variant!r}")
-    degree = (n - 3) if variant == "corrected" else (n - 1)
-    return degree * total_effective_resistance(n) / n
+    return n - 3 if variant == "corrected" else n - 1
+
+
+def mfpt_closed(n: int, variant: str = "corrected") -> Fraction:
+    """Mean first-passage time averaged over all targets (divided by n),
+    `mfpt_degree` * Kirchhoff index / n.  variant='corrected' equals (1/n) *
+    sum over targets of fpt_closed; 'paper' overstates it by (n-1)/(n-3)."""
+    return mfpt_degree(n, variant) * total_effective_resistance(n) / n
 
 
 def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:

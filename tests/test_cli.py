@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ohmwalk import checks, cli
+from ohmwalk import checks, cli, walks
 from ohmwalk.resistance import two_point_resistance
 
 
@@ -106,6 +106,15 @@ class TestOtherScalars:
         assert code == 0
         assert "108/13" in out
         assert "note:" in out
+
+    def test_mfpt_degree_has_one_home(self, capsys, monkeypatch):
+        # one degree rule scales the exact mean and its spectral oracle, so a
+        # changed rule moves both and they still agree
+        monkeypatch.setattr(walks, "mfpt_degree", lambda n, variant: n - 2)
+        monkeypatch.setattr(cli, "mfpt_degree", walks.mfpt_degree)
+        code, out, _ = run(capsys, "mfpt", "--n", "7", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["exact"] == "90/13"
 
 
 class TestSequence:

@@ -118,6 +118,13 @@ class TestRadicalRoute:
             for n, l in cases + [(401, 200), (2001, 1000)]:
                 assert two_point_resistance_radical(n, l) == float(two_point_resistance(n, l)), (n, l)
 
+    def test_default_context_does_not_reach_the_route(self, monkeypatch):
+        # decimal.Context() copies any field it is not given from DefaultContext
+        expected = two_point_resistance_radical(101, 50)
+        monkeypatch.setitem(decimal.DefaultContext.traps, decimal.Inexact, True)
+        monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_FLOOR)
+        assert two_point_resistance_radical(101, 50) == expected == float(two_point_resistance(101, 50))
+
     def test_conjugate_ratio_double_precision(self):
         # the rationalized d*B_n/(P_n+2) against the literal radical form
         for n in range(5, 50, 2):

@@ -81,6 +81,15 @@ class TestEigenvalues:
             )
             assert abs(total - n) < 1e-10
 
+    def test_complete_graph_matches_the_direct_sine_sum(self):
+        # the reference for `verify`'s sin_identity row, which reads lambda_k
+        # of K_n: 4 * sum_{m<=(n-1)/2} sin^2(k*m*pi/n), summed term by term
+        for n in range(3, 202, 2):
+            values = eigenvalues_circulant(complete_graph(n)).values
+            for k in range(1, n):
+                direct = 4.0 * sum(math.sin(k * m * math.pi / n) ** 2 for m in range(1, (n - 1) // 2 + 1))
+                assert abs(values[k] - direct) <= 1e-13 * n, (n, k)
+
 
 class TestSpectralResistance:
     def test_cycle_values(self):

@@ -3,8 +3,8 @@ in one route and asserts that exactly the rows built on that route fail,
 and that `verify` exits 3.
 
 A fault is planted at every binding of the faulted function, as a real
-defect in it would be seen by all of its callers.  `sin_identity` calls no
-package code, so no route of it can be faulted; it has no control here.
+defect in it would be seen by all of its callers.  Every row reads package
+code, so every row fails under at least one control here.
 """
 
 import inspect
@@ -43,9 +43,11 @@ def shifted(fn, delta):
 
 
 def skew_first_mode(fn):
-    """`fn`'s spectrum with the first mode and its mirror 1e-6 too large."""
-    def faulty(n):
-        values = list(fn(n).values)
+    """`fn`'s spectrum with the first mode and its mirror 1e-6 too large;
+    `fn` may take n or a graph."""
+    def faulty(arg):
+        spectrum = fn(arg)
+        n, values = spectrum.n, list(spectrum.values)
         values[1] = values[n - 1] = values[1] * (1 + 1e-6)
         return spectral.EigenSpectrum(n, tuple(values))
     return faulty
@@ -67,6 +69,12 @@ CONTROLS = {
         spectral.eigenvalues_minus_opposite,
         skew_first_mode(spectral.eigenvalues_minus_opposite),
         at_every_n("spectrum", "eigentime"),
+    ),
+    # the sine form on K_n (sin_identity) and on the family (the rest)
+    "circulant_spectrum_skew": (
+        spectral.eigenvalues_circulant,
+        skew_first_mode(spectral.eigenvalues_circulant),
+        at_every_n("sin_identity", "spectrum", "resistance_oracles", "foster"),
     ),
     "folded_alternating_off_by_one": (
         spectral.folded_alternating,

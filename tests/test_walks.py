@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ohmwalk import _walk_np, _walk_py
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
+from ohmwalk.exact import SequenceContext, half_index_pair
 from ohmwalk.spectral import spectral_resistance
 from ohmwalk.walks import (
     WalkConfig,
@@ -16,6 +17,7 @@ from ohmwalk.walks import (
     kernel_backend,
     markov_fpt,
     mfpt_closed,
+    mfpt_degree,
     simulate_fpt,
 )
 
@@ -103,6 +105,13 @@ class TestClosedForms:
     def test_mfpt_bad_variant(self):
         with pytest.raises(ValueError):
             mfpt_closed(7, "verbatim")
+        with pytest.raises(ValueError):
+            mfpt_degree(7, "verbatim")
+
+    def test_mfpt_degree(self):
+        for n in (5, 7, 101):
+            assert mfpt_degree(n, "corrected") == complete_minus_opposite(n).degree == n - 3
+            assert mfpt_degree(n, "paper") == n - 1
 
 
 class TestMarkovOracle:
@@ -235,6 +244,65 @@ class TestSharedSystem:
         # a singular system cannot come back as a wrong answer
         with pytest.raises(ZeroDivisionError):
             _solve_exact([[1, 1], [1, 1]], [1, 1])
+
+
+# The exact route stops at EXACT_SOLVE_LIMIT vertices.  Above it, first-step
+# analysis is still checked exactly, modulo a prime P, by an elimination that
+# uses no closed form.  Residues stay below 2^31, so products stay below 2^62.
+P = 2**31 - 1
+
+
+def _solve_mod_p(a, b):
+    """x with a x == b (mod P), by Gauss-Jordan elimination in int64.  No
+    pivot search: a pivot that is 0 mod P raises, it is never skipped."""
+    m = np.concatenate([a % P, (b % P)[:, None]], axis=1)
+    for k in range(len(m)):
+        pivot = int(m[k, k])
+        if pivot == 0:
+            raise ZeroDivisionError(f"pivot {k} is 0 mod {P}")
+        m[k] = m[k] * pow(pivot, -1, P) % P
+        factors = m[:, k].copy()
+        factors[k] = 0
+        m = (m - factors[:, None] * m[k] % P) % P
+    return [int(x) for x in m[:, -1]]
+
+
+def _first_step_mod_p(g):
+    """Hitting times to vertex 0, mod P, from the pinned Laplacian system
+    that `markov_fpt` solves."""
+    mat = g.laplacian_dense()
+    mat[0] = 0
+    mat[0, 0] = 1
+    rhs = np.full(g.n, g.degree)
+    rhs[0] = 0
+    return _solve_mod_p(mat, rhs)
+
+
+def _mod_p(x):
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+class TestFirstStepModP:
+    @pytest.mark.parametrize("n", [61, 101, 201, 401])
+    def test_matches_closed_form_beyond_the_exact_route(self, n):
+        h = _first_step_mod_p(complete_minus_opposite(n))
+        assert h[0] == 0
+        assert h[1:] == [_mod_p(fpt_closed(n, l)) for l in range(1, n)]
+
+    def test_a_shifted_numerator_is_caught(self):
+        # R(l) off by 1/w_n^2, a low-order error that floats at tol miss
+        n, l = 101, 37
+        g = complete_minus_opposite(n)
+        _, w = half_index_pair(SequenceContext(n))
+        h = _first_step_mod_p(g)
+        assert h[l] == _mod_p(fpt_closed(n, l))
+        assert h[l] != _mod_p(fpt_closed(n, l) + Fraction(g.edge_count, w * w))
+
+    def test_zero_pivot_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            _solve_mod_p(np.array([[1, 1], [1, 1]]), np.array([1, 1]))
+        with pytest.raises(ZeroDivisionError):
+            _solve_mod_p(np.array([[P, 0], [0, 1]]), np.array([1, 1]))
 
 
 class TestWalkConfig:
