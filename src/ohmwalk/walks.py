@@ -1,7 +1,11 @@
 """Random-walk quantities on circulant graphs: closed-form first-passage,
 commute, and mean-first-passage times for the complete-minus-opposite
-family, an exact first-step-analysis oracle, and a seeded Monte Carlo
-simulator.
+family, a first-step-analysis oracle, and a seeded Monte Carlo simulator.
+
+The oracle solves its linear system exactly by p-adic lifting: one
+inversion modulo a word-size prime, then O(n^2) int64 work per lifted
+digit, rational reconstruction, and an exact check of the answer in Python
+ints before it is returned.
 
 The simulator runs `_walk_np`, a refilled pool of trials in numpy lockstep
 that hands its last few trials to the pure-Python spec `_walk_py`.  Every
@@ -12,6 +16,7 @@ sums, so results never depend on chunking, pool slots or execution order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +31,10 @@ _MAX_STEPS_LIMIT = 2**31
 
 EXACT_SOLVE_LIMIT = 60  # first-step analysis switches to float LU above this
 FPT_SOLVE_CAP = 2048  # markov_fpt refuses graphs with more vertices
+# The exact route's prime, 2^26 - 5, a literal so that import searches for no
+# prime.  Below 2^26 a mat-vec of residues is exact in int64 for every
+# n <= FPT_SOLVE_CAP: n * (LIFT_PRIME - 1)^2 < 2^11 * 2^52 = 2^63.
+LIFT_PRIME = 67_108_859
 
 
 def kernel_backend() -> str:
@@ -67,7 +76,8 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
 
     Both routes solve one system, the Laplacian (deg*I - A) h = deg*1 with
     the target row pinned to h = 0: exactly over the rationals up to
-    EXACT_SOLVE_LIMIT vertices, by float LU beyond.  Graphs above
+    EXACT_SOLVE_LIMIT vertices (a list of Fractions, by `_solve_exact`'s
+    certified p-adic lifting), by float LU beyond (an array).  Graphs above
     FPT_SOLVE_CAP vertices are refused.
     """
     n = g.n
@@ -86,29 +96,73 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
 
 
 def _solve_exact(a: list[list[int]], b: list[int]) -> list[Fraction]:
-    """Solve a x = b over the rationals by fraction-free (Bareiss)
-    elimination: every intermediate is an integer, and the only division
-    that leaves the integers is x_i = X_i / det at the end.  A zero pivot
-    raises ZeroDivisionError."""
-    n = len(a)
-    for row, b_i in zip(a, b):
-        row.append(b_i)
-    # no pivot search: a pinned Laplacian is a nonsingular M-matrix, so its leading minors are > 0
-    prev = 1
+    """Solve a x = b over the rationals by p-adic lifting (Dixon, 1982).
+
+    a is inverted once modulo LIFT_PRIME, and each base-P digit of x costs
+    two int64 mat-vecs.  Lifting stops once P^K exceeds twice the square of
+    the Hadamard bound on det(a) and on every Cramer numerator, so rational
+    reconstruction (Wang, 1981) recovers x over one common denominator.  The
+    result is returned only after a x == b holds exactly on every row, in
+    Python ints; a candidate that fails raises ArithmeticError.  A system
+    that is singular mod LIFT_PRIME (every singular one is) raises
+    ZeroDivisionError.
+    """
+    mat = np.array(a, dtype=np.int64)
+    inverse = _inverse_mod_p(mat)
+    residual = np.array(b, dtype=np.int64)
+    # Hadamard: |det(a)| and every |Cramer numerator| are <= sqrt(sq_bound)
+    sq_bound = math.prod((np.square(mat).sum(axis=1) + np.square(residual)).tolist())
+    digits, modulus = [], 1
+    while modulus <= 2 * sq_bound:
+        digit = inverse @ (residual % LIFT_PRIME) % LIFT_PRIME
+        digits.append(digit)
+        residual = (residual - mat @ digit) // LIFT_PRIME  # exact: mat @ digit == residual mod P
+        modulus *= LIFT_PRIME
+    lifted = [0] * len(b)
+    for digit in reversed(digits):
+        lifted = [LIFT_PRIME * x + d for x, d in zip(lifted, digit.tolist())]
+    # den grows to the lcm of the entries' denominators, a divisor of det(a),
+    # so every den * x_i is an integer of size <= bound < modulus / 2
+    bound = math.isqrt(sq_bound)
+    den = 1
+    for x in lifted:
+        den *= _reconstructed_denominator(den * x % modulus, modulus, bound)
+    nums = [(den * x + modulus // 2) % modulus - modulus // 2 for x in lifted]
+    if any(sum(map(operator.mul, row, nums)) != den * b_i for row, b_i in zip(a, b)):
+        raise ArithmeticError("the p-adic solution fails a x == b; it is not returned")
+    return [Fraction(x, den) for x in nums]
+
+
+def _inverse_mod_p(mat: np.ndarray) -> np.ndarray:
+    """mat^-1 mod LIFT_PRIME by Gauss-Jordan elimination of [mat | I] in
+    int64, searching each column for a pivot, so that only a matrix singular
+    mod LIFT_PRIME raises ZeroDivisionError."""
+    n = len(mat)
+    m = np.concatenate([mat % LIFT_PRIME, np.eye(n, dtype=np.int64)], axis=1)
     for k in range(n):
-        pivot = a[k]
-        p = pivot[k]
-        for row in a[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
-        prev = p
-    det = prev
-    xs = [0] * n  # X_i = det * x_i, an integer by Cramer's rule
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = det * row[n] - sum(row[j] * xs[j] for j in range(i + 1, n))
-        xs[i] = acc // row[i]
-    return [Fraction(x, det) for x in xs]
+        candidates = np.flatnonzero(m[k:, k])
+        if not candidates.size:
+            raise ZeroDivisionError(f"the system is singular mod {LIFT_PRIME}")
+        pivot = k + int(candidates[0])
+        m[[k, pivot]] = m[[pivot, k]]
+        row = m[k, k:] * pow(int(m[k, k]), -1, LIFT_PRIME) % LIFT_PRIME
+        factors = m[:, k].copy()
+        factors[k] = 0
+        # columns left of k are unit vectors by now, and row k is 0 there
+        m[:, k:] = (m[:, k:] - np.outer(factors, row)) % LIFT_PRIME
+        m[k, k:] = row
+    return m[:, n:]
+
+
+def _reconstructed_denominator(u: int, modulus: int, bound: int) -> int:
+    """The denominator q of the fraction r/q == u mod `modulus` with
+    |r| <= bound, by the extended Euclidean remainder sequence (Wang)."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return abs(t1)
 
 
 @dataclass(frozen=True)

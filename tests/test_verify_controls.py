@@ -114,15 +114,17 @@ CONTROLS = {
         scaled(resistance.total_effective_resistance, Fraction(10**7 + 1, 10**7)),
         at_every_n("eigentime"),
     ),
-    "bareiss_wrong_divisor": (
+    # a fault past the exact check: the only place a wrong answer can leave
+    "padic_wrong_denominator": (
         walks._solve_exact,
-        mutant(walks._solve_exact, "// prev for", "// p for"),  # this pivot, not the last
+        mutant(walks._solve_exact, "Fraction(x, den)", "Fraction(x, den + 1)"),
         at_every_n("markov_fpt"),
     ),
-    # a check that raises is a FAIL row, not a crash of the whole suite
-    "bareiss_zero_divisor": (
+    # the exact check refuses the candidate, and a check that raises is a
+    # FAIL row, not a crash of the whole suite
+    "padic_corrupted_digit": (
         walks._solve_exact,
-        mutant(walks._solve_exact, "prev = 1\n", "prev = 0\n"),
+        mutant(walks._solve_exact, "digits.append(digit)", "digits.append(digit + 1)"),
         at_every_n("markov_fpt"),
     ),
     "all_resistances_skew": (

@@ -1,8 +1,10 @@
+import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ohmwalk import _walk_np, _walk_py
@@ -10,6 +12,8 @@ from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opp
 from ohmwalk.exact import SequenceContext, half_index_pair
 from ohmwalk.spectral import spectral_resistance
 from ohmwalk.walks import (
+    FPT_SOLVE_CAP,
+    LIFT_PRIME,
     WalkConfig,
     _solve_exact,
     commute_time_closed,
@@ -246,6 +250,80 @@ class TestSharedSystem:
             _solve_exact([[1, 1], [1, 1]], [1, 1])
 
 
+@st.composite
+def connected_circulants(draw):
+    """Circulants on 3..60 vertices, odd and even, half of the even ones
+    with the jump n/2 (one neighbour, not two)."""
+    n = draw(st.integers(3, 60))
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    if n % 2 == 0 and draw(st.booleans()):
+        jumps.add(n // 2)
+    assume(math.gcd(n, *jumps) == 1)
+    return CirculantGraph(n, jumps)
+
+
+def _pinned_system(g, target):
+    """The Laplacian system with the target row pinned to h = 0, as
+    `markov_fpt` builds it."""
+    mat = g.laplacian_dense()
+    mat[target] = 0
+    mat[target, target] = 1
+    rhs = np.full(g.n, g.degree)
+    rhs[target] = 0
+    return mat, rhs
+
+
+def _mutant(fn, old, new):
+    """`fn` recompiled from its own source with `old` replaced by `new`."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+class TestPAdicSolver:
+    def test_prime_keeps_int64_mat_vecs_exact(self):
+        assert all(LIFT_PRIME % d for d in range(2, math.isqrt(LIFT_PRIME) + 1))
+        assert FPT_SOLVE_CAP * (LIFT_PRIME - 1) ** 2 < 2**63
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=connected_circulants(), data=st.data())
+    def test_matches_fraction_elimination(self, g, data):
+        target = data.draw(st.integers(0, g.n - 1))
+        assert markov_fpt(g, target) == _old_solve_fpt_exact(g, target, g.degree)
+
+    @pytest.mark.parametrize("n", range(5, 60, 2))
+    def test_family_at_three_targets(self, n):
+        # by vertex-transitivity h[v] is the closed form at distance v - target
+        closed = [Fraction(0)] + [fpt_closed(n, l) for l in range(1, n)]
+        g = complete_minus_opposite(n)
+        for target in (0, n // 2, n - 1):
+            assert markov_fpt(g, target) == [closed[(v - target) % n] for v in range(n)]
+
+    def test_singular_system_names_the_prime(self):
+        with pytest.raises(ZeroDivisionError, match=f"singular mod {LIFT_PRIME}"):
+            _solve_exact([[1, 1], [1, 1]], [1, 1])
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # the lowest base-P digit of every entry off by one
+            ("digits.append(digit)", "digits.append(digit if digits else digit + 1)"),
+            # a common denominator that is not a multiple of every entry's
+            ("den *= _reconstructed_denominator", "den += _reconstructed_denominator"),
+        ],
+        ids=["corrupted_digit", "wrong_denominator"],
+    )
+    def test_certificate_refuses_a_wrong_candidate(self, old, new):
+        n = 25
+        mat, rhs = _pinned_system(complete_minus_opposite(n), 0)
+        assert _solve_exact(mat.tolist(), rhs.tolist())[1:] == [fpt_closed(n, l) for l in range(1, n)]
+        faulty = _mutant(_solve_exact, old, new)
+        with pytest.raises(ArithmeticError, match="it is not returned"):
+            faulty(mat.tolist(), rhs.tolist())
+
+
 # The exact route stops at EXACT_SOLVE_LIMIT vertices.  Above it, first-step
 # analysis is still checked exactly, modulo a prime P, by an elimination that
 # uses no closed form.  Residues stay below 2^31, so products stay below 2^62.
@@ -270,12 +348,7 @@ def _solve_mod_p(a, b):
 def _first_step_mod_p(g):
     """Hitting times to vertex 0, mod P, from the pinned Laplacian system
     that `markov_fpt` solves."""
-    mat = g.laplacian_dense()
-    mat[0] = 0
-    mat[0, 0] = 1
-    rhs = np.full(g.n, g.degree)
-    rhs[0] = 0
-    return _solve_mod_p(mat, rhs)
+    return _solve_mod_p(*_pinned_system(g, 0))
 
 
 def _mod_p(x):
