@@ -15,11 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import complete_graph, complete_minus_opposite
-from .exact import SequenceContext, bejaia, conjugate_ratio, half_index_pair, power_pair, resistance_gcd_bound
-from .exact import sequence_pair, sum_bejaia_even, sum_bejaia_squares
+# bejaia is not called here; perfbench/spans.py wraps this binding
+from .exact import SequenceContext, bejaia, bejaia_sequence, conjugate_ratio, half_index_pair, power_pair
+from .exact import resistance_gcd_bound, sequence_pair, sum_bejaia_even, sum_bejaia_squares
 from .resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
+    half_sum_denominators,
     r_half_sums,
     rel_dev,
     resistance_report,
@@ -77,8 +79,9 @@ def check_power_sums(n: int, tol: float) -> CheckResult:
 
 def check_half_sums(n: int, tol: float) -> CheckResult:
     dev = 0.0
+    denominators = half_sum_denominators(n)
     for l in range(1, n):
-        r1, r2, closed = r_half_sums(n, l)
+        r1, r2, closed = r_half_sums(n, l, denominators)
         dev = max(dev, abs(r1 - r2), abs(r1 - closed))
     return CheckResult("half_sums", n, dev, dev <= tol)
 
@@ -90,12 +93,14 @@ def check_resistance_oracles(n: int, tol: float) -> CheckResult:
 
 
 def check_symmetry_identity(n: int, tol: float) -> CheckResult:
-    # B_{2(n-l)} - B_{2l} - 2 B_{n-2l} == ratio * (B_{n-l}^2 - B_l^2), exactly
+    # B_{2(n-l)} - B_{2l} - 2 B_{n-2l} == ratio * (B_{n-l}^2 - B_l^2), exactly,
+    # every B_k from one list, with B_{-k} = -B_k
     ctx = SequenceContext(n)
     ratio = conjugate_ratio(ctx)
+    bs = bejaia_sequence(ctx, 2 * n - 1)
     ok = all(
-        Fraction(bejaia(ctx, 2 * (n - l)) - bejaia(ctx, 2 * l) - 2 * bejaia(ctx, n - 2 * l))
-        == ratio * (bejaia(ctx, n - l) ** 2 - bejaia(ctx, l) ** 2)
+        Fraction(bs[2 * (n - l)] - bs[2 * l] - 2 * (bs[n - 2 * l] if 2 * l < n else -bs[2 * l - n]))
+        == ratio * (bs[n - l] ** 2 - bs[l] ** 2)
         for l in range(1, n)
     )
     return CheckResult("symmetry_identity", n, 0.0 if ok else 1.0, ok)
@@ -160,12 +165,9 @@ def check_markov(n: int, tol: float) -> CheckResult:
 def check_foster(n: int, tol: float) -> CheckResult:
     g = complete_minus_opposite(n)
     r = spectral_resistance(g).tolist()
-    total = sum(
-        r[(w - v) % n]
-        for v in range(n)
-        for w in g.neighbors(v)
-        if v < w
-    )
+    offsets = g.neighbor_offsets()
+    # each edge once, from its lower end v to w = v + off mod n
+    total = sum(r[off] for v in range(n) for off in offsets if v < (v + off) % n)
     dev = rel_dev(total, n - 1.0)
     return CheckResult("foster", n, dev, dev <= tol)
 

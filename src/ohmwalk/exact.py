@@ -74,9 +74,11 @@ def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if k == 0:
+        return 0, 2
     m, d = ctx.n - 2, ctx.d
-    b, p = 0, 2
-    for bit in bin(k)[2:]:
+    b, p = 1, m  # phi, for k's leading bit
+    for bit in bin(k)[3:]:
         b, p = b * p, p * p - 2
         if bit == "1":
             b, p = (m * b + p) // 2, (m * p + d * b) // 2

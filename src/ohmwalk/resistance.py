@@ -63,22 +63,24 @@ def two_point_resistance_radical(n: int, l: int) -> float:
 
         B_{2l} - sqrt(d) * B_l^2 * (1 - qb^n) / (1 + qb^n),
 
-    with B's from their conjugate-power expressions and qb the conjugate
-    unit.  The subtraction cancels ~2*l*log10(n) leading digits, so it runs
-    in a `decimal` context of that many digits plus 30 and the widest
-    exponent range, every field given so that neither the caller's context
-    nor `decimal.DefaultContext` reaches it, and is rounded to a double.
+    with B's from their conjugate-power expressions (three powers: B_{2l}
+    squares those of B_l) and qb the conjugate unit.  The subtraction
+    cancels ~2*l*log10(n) leading digits, so it runs in a `decimal` context
+    of that many digits plus 30 and the widest exponent range, every field
+    given so that neither the caller's context nor `decimal.DefaultContext`
+    reaches it, and is rounded to a double.
     """
     _, l = _validate_pair(n, l)
     prec = int(2 * l * math.log10(n)) + 30
     traps = [InvalidOperation, DivisionByZero, Overflow]
     with localcontext(Context(prec, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, flags=[], traps=traps, clamp=0)):
         root = Decimal(n * (n - 4)).sqrt()
-        unit = (n - 2 + root) / 2
+        unit_l = ((n - 2 + root) / 2) ** l
         conj = (n - 2 - root) / 2
-        b_2l = (unit ** (2 * l) - conj ** (2 * l)) / root
-        b_l = (unit**l - conj**l) / root
-        ratio = (1 - conj**n) / (1 + conj**n)
+        conj_l, conj_n = conj**l, conj**n
+        b_2l = (unit_l * unit_l - conj_l * conj_l) / root
+        b_l = (unit_l - conj_l) / root
+        ratio = (1 - conj_n) / (1 + conj_n)
         return float(b_2l - root * b_l * b_l * ratio)
 
 
@@ -93,22 +95,26 @@ def conjugate_ratio_radical(n: int) -> float:
     return root * (1.0 - q) / (1.0 + q)
 
 
-def r_half_sums(n: int, l: int) -> tuple[float, float, float]:
+def half_sum_denominators(n: int) -> tuple[list[float], list[float]]:
+    """`r_half_sums`' l-independent even-mode and odd-mode denominators."""
+    ks = range(1, (n - 1) // 2 + 1)
+    even = [n - 4.0 * math.sin(k * math.pi / n) ** 2 for k in ks]
+    return even, [n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2 for k in ks]
+
+
+def r_half_sums(n: int, l: int, denominators: tuple | None = None) -> tuple[float, float, float]:
     """The even-mode and odd-mode halves of the resistance sum, plus the
     closed-form half R(l)/2.  Both direct trigonometric sums equal R(l)/2;
-    they are returned separately so callers can check it.
+    they are returned separately so callers can check it.  Pass
+    `half_sum_denominators(n)` as `denominators` to reuse them across l.
     """
     _validate_pair(n, l)
-    half = (n - 1) // 2
+    even, odd = denominators or half_sum_denominators(n)
     r1 = (4.0 / n) * sum(
-        math.sin(2 * k * l * math.pi / n) ** 2
-        / (n - 4.0 * math.sin(k * math.pi / n) ** 2)
-        for k in range(1, half + 1)
+        math.sin(2 * k * l * math.pi / n) ** 2 / den for k, den in enumerate(even, 1)
     )
     r2 = (4.0 / n) * sum(
-        math.sin((2 * k - 1) * l * math.pi / n) ** 2
-        / (n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2)
-        for k in range(1, half + 1)
+        math.sin((2 * k - 1) * l * math.pi / n) ** 2 / den for k, den in enumerate(odd, 1)
     )
     closed = float(two_point_resistance(n, l)) / 2.0
     return r1, r2, closed

@@ -33,7 +33,8 @@ EXACT_SOLVE_LIMIT = 60  # first-step analysis switches to float LU above this
 FPT_SOLVE_CAP = 2048  # markov_fpt refuses graphs with more vertices
 # The exact route's prime, 2^26 - 5, a literal so that import searches for no
 # prime.  Below 2^26 a mat-vec of residues is exact in int64 for every
-# n <= FPT_SOLVE_CAP: n * (LIFT_PRIME - 1)^2 < 2^11 * 2^52 = 2^63.
+# n <= FPT_SOLVE_CAP: n * (LIFT_PRIME - 1)^2 < 2^11 * 2^52 = 2^63, and so is
+# the delayed reduction of `_inverse_mod_p`: P + n * (P - 1)^2 < 2^63.
 LIFT_PRIME = 67_108_859
 
 
@@ -136,22 +137,27 @@ def _solve_exact(a: list[list[int]], b: list[int]) -> list[Fraction]:
 def _inverse_mod_p(mat: np.ndarray) -> np.ndarray:
     """mat^-1 mod LIFT_PRIME by Gauss-Jordan elimination of [mat | I] in
     int64, searching each column for a pivot, so that only a matrix singular
-    mod LIFT_PRIME raises ZeroDivisionError."""
+    mod LIFT_PRIME raises ZeroDivisionError.  Reduction is delayed: a step
+    reduces only its pivot column and row and subtracts products below
+    (P-1)^2, so entries stay above -2^63 (see LIFT_PRIME) until the one
+    reduction of the whole matrix at the end."""
     n = len(mat)
     m = np.concatenate([mat % LIFT_PRIME, np.eye(n, dtype=np.int64)], axis=1)
     for k in range(n):
+        m[:, k] %= LIFT_PRIME
         candidates = np.flatnonzero(m[k:, k])
         if not candidates.size:
             raise ZeroDivisionError(f"the system is singular mod {LIFT_PRIME}")
         pivot = k + int(candidates[0])
-        m[[k, pivot]] = m[[pivot, k]]
-        row = m[k, k:] * pow(int(m[k, k]), -1, LIFT_PRIME) % LIFT_PRIME
+        if pivot != k:
+            m[[k, pivot]] = m[[pivot, k]]
+        row = m[k, k:] % LIFT_PRIME * pow(int(m[k, k]), -1, LIFT_PRIME) % LIFT_PRIME
         factors = m[:, k].copy()
         factors[k] = 0
         # columns left of k are unit vectors by now, and row k is 0 there
-        m[:, k:] = (m[:, k:] - np.outer(factors, row)) % LIFT_PRIME
+        m[:, k:] -= np.outer(factors, row)
         m[k, k:] = row
-    return m[:, n:]
+    return m[:, n:] % LIFT_PRIME
 
 
 def _reconstructed_denominator(u: int, modulus: int, bound: int) -> int:

@@ -14,6 +14,7 @@ from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
+    half_sum_denominators,
     r_half_sums,
     resistance_report,
     total_effective_resistance,
@@ -91,7 +92,31 @@ class TestTwoPointResistance:
         assert r.denominator > 0
 
 
+def _six_power_radical(n, l):
+    # the radical route as it was before it shared powers, with unit and
+    # conj each raised to l and to 2l and conj to n twice: the reference
+    l = min(l, n - l)
+    prec = int(2 * l * math.log10(n)) + 30
+    traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+    context = decimal.Context(
+        prec, decimal.ROUND_HALF_EVEN, decimal.MIN_EMIN, decimal.MAX_EMAX, flags=[], traps=traps, clamp=0
+    )
+    with decimal.localcontext(context):
+        root = decimal.Decimal(n * (n - 4)).sqrt()
+        unit = (n - 2 + root) / 2
+        conj = (n - 2 - root) / 2
+        b_2l = (unit ** (2 * l) - conj ** (2 * l)) / root
+        b_l = (unit**l - conj**l) / root
+        ratio = (1 - conj**n) / (1 + conj**n)
+        return float(b_2l - root * b_l * b_l * ratio)
+
+
 class TestRadicalRoute:
+    def test_three_powers_equal_six(self):
+        cases = [(n, l) for n in range(5, 102, 2) for l in range(1, n)]
+        for n, l in cases + [(2001, 1000), (4001, 2000)]:
+            assert two_point_resistance_radical(n, l) == _six_power_radical(n, l), (n, l)
+
     def test_matches_exact_small(self):
         for n in (5, 7, 9):
             for l in range(1, n):
@@ -132,7 +157,47 @@ class TestRadicalRoute:
             assert conjugate_ratio_radical(n) == pytest.approx(exact, rel=1e-12)
 
 
+def _inline_half_sums(n, l):
+    # r_half_sums' two direct sums as they were before the denominators were
+    # hoisted: the reference
+    half = (n - 1) // 2
+    r1 = (4.0 / n) * sum(
+        math.sin(2 * k * l * math.pi / n) ** 2
+        / (n - 4.0 * math.sin(k * math.pi / n) ** 2)
+        for k in range(1, half + 1)
+    )
+    r2 = (4.0 / n) * sum(
+        math.sin((2 * k - 1) * l * math.pi / n) ** 2
+        / (n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2)
+        for k in range(1, half + 1)
+    )
+    return r1, r2
+
+
 class TestHalfSums:
+    def test_shared_denominators_change_no_bit(self):
+        for n in range(5, 62, 2):
+            denominators = half_sum_denominators(n)
+            for l in range(1, n):
+                shared = r_half_sums(n, l, denominators)
+                assert shared == r_half_sums(n, l), (n, l)
+                assert shared[:2] == _inline_half_sums(n, l), (n, l)
+
+    def test_check_calls_once_per_distance(self, monkeypatch):
+        # perfbench times the resistance.half_sums layer at this binding
+        calls = []
+
+        def spy(n, l, denominators=None):
+            calls.append((l, denominators))
+            return r_half_sums(n, l, denominators)
+
+        monkeypatch.setattr(checks, "r_half_sums", spy)
+        n = 31
+        assert checks.check_half_sums(n, 1e-9).passed
+        assert [l for l, _ in calls] == list(range(1, n))
+        assert calls[0][1] == half_sum_denominators(n)
+        assert all(d is calls[0][1] for _, d in calls)
+
     def test_seven(self):
         r1, r2, closed = r_half_sums(7, 1)
         assert r1 == pytest.approx(19 / 91, rel=1e-12)

@@ -91,8 +91,11 @@ CONTROLS = {
         scaled(resistance.two_point_resistance_radical, 1 + 1e-8),
         at_every_n("resistance_oracles"),
     ),
+    # the symmetry identity reads every B_k from one listed sequence
     "bejaia_off_by_one": (
-        exact.bejaia, shifted(exact.bejaia, 1), at_every_n("symmetry_identity"),
+        exact.bejaia_sequence,
+        lambda *args: [b + 1 for b in exact.bejaia_sequence(*args)],
+        at_every_n("symmetry_identity"),
     ),
     "sum_bejaia_even_off_by_one": (
         exact.sum_bejaia_even,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ohmwalk import _walk_np, _walk_py
+from ohmwalk import _walk_np, _walk_py, walks
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
 from ohmwalk.exact import SequenceContext, half_index_pair
 from ohmwalk.spectral import spectral_resistance
@@ -15,6 +15,7 @@ from ohmwalk.walks import (
     FPT_SOLVE_CAP,
     LIFT_PRIME,
     WalkConfig,
+    _inverse_mod_p,
     _solve_exact,
     commute_time_closed,
     fpt_closed,
@@ -282,10 +283,82 @@ def _mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
+def _eager_inverse_mod_p(mat):
+    # the Gauss-Jordan inverse mod LIFT_PRIME as it was before delayed
+    # reduction, with `% P` after every step: the reference
+    n = len(mat)
+    m = np.concatenate([mat % LIFT_PRIME, np.eye(n, dtype=np.int64)], axis=1)
+    for k in range(n):
+        candidates = np.flatnonzero(m[k:, k])
+        if not candidates.size:
+            raise ZeroDivisionError(f"the system is singular mod {LIFT_PRIME}")
+        pivot = k + int(candidates[0])
+        m[[k, pivot]] = m[[pivot, k]]
+        row = m[k, k:] * pow(int(m[k, k]), -1, LIFT_PRIME) % LIFT_PRIME
+        factors = m[:, k].copy()
+        factors[k] = 0
+        m[:, k:] = (m[:, k:] - np.outer(factors, row)) % LIFT_PRIME
+        m[k, k:] = row
+    return m[:, n:]
+
+
+@st.composite
+def residue_matrices(draw):
+    """Square int64 matrices, n <= 60, entries in (-P, P) with P =
+    LIFT_PRIME, a drawn share of them 0; with `swap`, the first entry is 0,
+    so elimination starts with a row swap (or finds the matrix singular)."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.integers(-LIFT_PRIME + 1, LIFT_PRIME, size=(n, n))
+    mat[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+    if draw(st.booleans()):
+        mat[0, 0] = 0
+    return mat
+
+
+def _inverse_or_singular(inverse, mat):
+    try:
+        return inverse(mat)
+    except ZeroDivisionError:
+        return None
+
+
+class TestInverseModP:
+    @settings(max_examples=60, deadline=None)
+    @given(mat=residue_matrices())
+    def test_delayed_reduction_equals_eager(self, mat):
+        lazy = _inverse_or_singular(_inverse_mod_p, mat)
+        eager = _inverse_or_singular(_eager_inverse_mod_p, mat)
+        if eager is None:
+            assert lazy is None
+        else:
+            assert lazy.dtype == np.int64 and np.array_equal(lazy, eager)
+            assert np.array_equal(lazy @ (mat % LIFT_PRIME) % LIFT_PRIME, np.eye(len(mat)))
+
+    @pytest.mark.parametrize("mat", [[[0, 1], [1, 0]], [[0, 2, 1], [0, 0, 3], [5, 1, 0]]])
+    def test_pivots_below_the_diagonal(self, mat):
+        mat = np.array(mat, dtype=np.int64)
+        assert np.array_equal(_inverse_mod_p(mat), _eager_inverse_mod_p(mat))
+
+    def test_dropping_the_final_reduction_is_caught(self, monkeypatch):
+        n = 25
+        g = complete_minus_opposite(n)
+        mat, _ = _pinned_system(g, 0)
+        faulty = _mutant(_inverse_mod_p, "return m[:, n:] % LIFT_PRIME", "return m[:, n:]")
+        assert not np.array_equal(faulty(mat), _eager_inverse_mod_p(mat))
+        # inside the solver the unreduced entries overflow the lifting
+        # mat-vecs, and the exact certificate refuses the candidate
+        monkeypatch.setattr(walks, "_inverse_mod_p", faulty)
+        with pytest.raises(ArithmeticError, match="it is not returned"):
+            markov_fpt(g, 0)
+
+
 class TestPAdicSolver:
     def test_prime_keeps_int64_mat_vecs_exact(self):
         assert all(LIFT_PRIME % d for d in range(2, math.isqrt(LIFT_PRIME) + 1))
+        # mat-vecs of residues, and the delayed reduction of the inverse
         assert FPT_SOLVE_CAP * (LIFT_PRIME - 1) ** 2 < 2**63
+        assert LIFT_PRIME + FPT_SOLVE_CAP * (LIFT_PRIME - 1) ** 2 < 2**63
 
     @settings(max_examples=30, deadline=None)
     @given(g=connected_circulants(), data=st.data())
