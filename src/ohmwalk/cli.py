@@ -41,13 +41,19 @@ def _emit(args, record: dict, plain_lines: list[str], csv_rows: list[list]) -> N
     print(text, file=args.stream)
 
 
-def _emit_scalar(args, command: str, inputs: dict, exact: Fraction, devs: dict, note: str = "") -> None:
+def _json_float(x: float) -> float | None:
+    return x if math.isfinite(x) else None  # JSON has no NaN or infinity: write null
+
+
+def _emit_scalar(args, command: str, inputs: dict, exact: Fraction, devs: dict, dev: float,
+                 note: str = "") -> int:
+    """Emit `exact` with its oracle deviations; exit on `dev`."""
     record = {
         "command": command,
         "inputs": inputs,
         "exact": _frac_str(exact),
         "float": repr(float(exact)),
-        "oracle_devs": devs,
+        "oracle_devs": {k: _json_float(v) for k, v in devs.items()},
     }
     words = " ".join(f"{k}={v}" for k, v in inputs.items())
     dev_words = " ".join(f"{k}_dev={v:.3e}" for k, v in devs.items())
@@ -58,23 +64,19 @@ def _emit_scalar(args, command: str, inputs: dict, exact: Fraction, devs: dict, 
     header = ["command", *inputs.keys(), "exact", "float", *devs.keys()]
     row = [command, *inputs.values(), record["exact"], record["float"], *devs.values()]
     _emit(args, record, plain, [header, row])
+    return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
 
 
 def _spectral_scalar(args, command: str, inputs: dict, exact: Fraction, oracle: float, note: str = "") -> int:
-    """Emit `exact` with its deviation from the spectral `oracle`; exit on it."""
     dev = rel_dev_from(oracle, float(exact))
-    _emit_scalar(args, command, inputs, exact, {"spectral": dev}, note)
-    return EXIT_OK if dev <= args.tolerance else EXIT_ORACLE
+    return _emit_scalar(args, command, inputs, exact, {"spectral": dev}, dev, note)
 
 
 def cmd_resistance(args) -> int:
     rep = resistance_report(args.n, args.l)
-    devs = {
-        "radical": rel_dev_from(rep.float_closed, float(rep.exact)),
-        "spectral": rel_dev_from(rep.spectral, float(rep.exact)),
-    }
-    _emit_scalar(args, "resistance", {"n": args.n, "l": args.l}, rep.exact, devs)
-    return EXIT_OK if rep.max_rel_dev <= args.tolerance else EXIT_ORACLE
+    x = float(rep.exact)
+    devs = {"radical": rel_dev_from(rep.float_closed, x), "spectral": rel_dev_from(rep.spectral, x)}
+    return _emit_scalar(args, "resistance", {"n": args.n, "l": args.l}, rep.exact, devs, rep.max_rel_dev)
 
 
 def cmd_fpt(args) -> int:
@@ -149,7 +151,7 @@ def cmd_verify(args) -> int:
         "inputs": {"n_max": args.n_max, "tolerance": args.tolerance},
         "passed": all_passed,
         "rows": [
-            {"check": r.name, "n": r.n, "max_dev": r.max_dev, "passed": r.passed,
+            {"check": r.name, "n": r.n, "max_dev": _json_float(r.max_dev), "passed": r.passed,
              "detail": r.detail}
             for r in results
         ],
@@ -169,15 +171,31 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_ORACLE
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-9,
-        help="oracle-agreement threshold (affects the exit code only)",
-    )
+_N = ("--n", dict(type=int, required=True))
+_L = ("--l", dict(type=int, required=True))
+_COMMON = (
+    ("--format", dict(choices=("plain", "json", "csv"), default="plain")),
+    ("--out", dict(help="write output to this file instead of stdout")),
+    ("--tolerance", dict(type=float, default=1e-9, help="oracle-agreement threshold (affects the exit code only)")),
+)
+# (name, help, handler, own arguments); every command then takes _COMMON
+COMMANDS = (
+    ("resistance", "exact two-point resistance R(l)", cmd_resistance, (_N, _L)),
+    ("fpt", "first-passage time 0 -> l", cmd_fpt, (_N, _L)),
+    ("mfpt", "mean first-passage time", cmd_mfpt,
+     (_N, ("--variant", dict(choices=("corrected", "paper"), default="corrected")))),
+    ("total", "total effective resistance (Kirchhoff index)", cmd_total, (_N,)),
+    ("sequence", "terms of the context sequences", cmd_sequence,
+     (_N, ("--kind", dict(choices=("bejaia", "pisa"), required=True)),
+      ("--count", dict(type=int, required=True)))),
+    ("simulate", "Monte Carlo first-passage estimate", cmd_simulate,
+     (_N, _L, ("--trials", dict(type=int, default=100000)), ("--seed", dict(type=int, default=0)),
+      ("--max-steps", dict(type=int, default=None)))),
+    ("verify", "run the full cross-validation suite", cmd_verify,
+     (("--n-max", dict(type=int, required=True)),
+      ("--trials", dict(type=int, default=20000, help="Monte Carlo row trials")),
+      ("--seed", dict(type=int, default=42, help="Monte Carlo row seed")))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,53 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         "complete graph minus opposite edges (odd n).",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("resistance", help="exact two-point resistance R(l)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_resistance)
-
-    p = subs.add_parser("fpt", help="first-passage time 0 -> l")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_fpt)
-
-    p = subs.add_parser("mfpt", help="mean first-passage time")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=("corrected", "paper"), default="corrected")
-    _add_common(p)
-    p.set_defaults(func=cmd_mfpt)
-
-    p = subs.add_parser("total", help="total effective resistance (Kirchhoff index)")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_total)
-
-    p = subs.add_parser("sequence", help="terms of the context sequences")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("bejaia", "pisa"), required=True)
-    p.add_argument("--count", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_sequence)
-
-    p = subs.add_parser("simulate", help="Monte Carlo first-passage estimate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("verify", help="run the full cross-validation suite")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20000, help="Monte Carlo row trials")
-    p.add_argument("--seed", type=int, default=42, help="Monte Carlo row seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
+    for name, help_text, func, own in COMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        for flag, kwargs in own + _COMMON:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -241,8 +217,7 @@ def main(argv=None) -> int:
     # exact fractions and sequence terms run to many thousands of digits
     if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise ValueError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")

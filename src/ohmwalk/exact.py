@@ -189,7 +189,7 @@ def reduce_by(num: int, den: int, bound: int) -> Fraction:
     return x
 
 
-STR_SPLIT_BITS = 1 << 15  # str(int) wins below (crossover ~33k bits, CPython 3.11)
+STR_SPLIT_BITS = 1 << 11  # str() sees <= 617 digits, within any int->str limit (CPython allows >= 640)
 
 
 def decimal_str(x: int) -> str:

@@ -1,7 +1,10 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,10 @@ def residue(digits, p):
         chunk = digits[i : i + 1000]
         r = (r * pow(10, len(chunk), p) + int(chunk)) % p
     return r
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run(capsys, *argv):
@@ -115,6 +122,20 @@ class TestOtherScalars:
         code, out, _ = run(capsys, "mfpt", "--n", "7", "--format", "json")
         assert code == 0
         assert json.loads(out)["exact"] == "90/13"
+
+
+    @pytest.mark.parametrize("command, argv", [
+        ("resistance", ["--l", "1"]), ("fpt", ["--l", "1"]), ("mfpt", []), ("total", []),
+    ])
+    def test_non_finite_dev_is_json_null_and_fails(self, capsys, monkeypatch, command, argv):
+        report = cli.resistance_report
+        monkeypatch.setattr(cli, "resistance_report", lambda n, l: replace(report(n, l), max_rel_dev=math.nan))
+        monkeypatch.setattr(cli, "rel_dev_from", lambda oracle, exact: math.nan)
+        code, out, _ = run(capsys, command, "--n", "7", *argv, "--format", "json")
+        record = json.loads(out, parse_constant=reject_constant)
+        assert code == 3 and set(record["oracle_devs"].values()) == {None}
+        code, out, _ = run(capsys, command, "--n", "7", *argv, "--format", "csv")
+        assert out.splitlines()[1].endswith(",nan")
 
 
 class TestSequence:
@@ -276,6 +297,16 @@ class TestVerify:
         assert "FAIL" in row and "z=+nan" in row
         assert "FAILURES PRESENT" in out
 
+    def test_zero_stderr_json_is_strict(self, capsys):
+        # z is nan: JSON has no NaN, so max_dev is written as null
+        code, out, _ = run(capsys, "verify", "--n-max", "5", "--trials", "2",
+                           "--seed", "13", "--format", "json")
+        assert code == 3
+        record = json.loads(out, parse_constant=reject_constant)
+        row = next(row for row in record["rows"] if row["check"] == "monte_carlo")
+        assert row["max_dev"] is None and not row["passed"]
+        assert all(row["max_dev"] is not None for row in record["rows"] if row["check"] != "monte_carlo")
+
 
 class TestFamilyDomain:
     ARGS = {
@@ -293,6 +324,109 @@ class TestFamilyDomain:
         code, out, err = run(capsys, command, "--n", str(n), *self.ARGS[command])
         assert (code, out) == (2, "")
         assert err == f"error: n must be odd and >= 5, got {n}\n"
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The hand-written parser that `cli.COMMANDS` replaced, kept as the
+    reference for every help screen, default and usage error."""
+
+    def add_common(sub):
+        sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+        sub.add_argument("--out", help="write output to this file instead of stdout")
+        sub.add_argument(
+            "--tolerance",
+            type=float,
+            default=1e-9,
+            help="oracle-agreement threshold (affects the exit code only)",
+        )
+
+    parser = argparse.ArgumentParser(
+        prog="ohmwalk",
+        description="Exact resistances and random-walk times on the "
+        "complete graph minus opposite edges (odd n).",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("resistance", help="exact two-point resistance R(l)")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_resistance)
+
+    p = subs.add_parser("fpt", help="first-passage time 0 -> l")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_fpt)
+
+    p = subs.add_parser("mfpt", help="mean first-passage time")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--variant", choices=("corrected", "paper"), default="corrected")
+    add_common(p)
+    p.set_defaults(func=cli.cmd_mfpt)
+
+    p = subs.add_parser("total", help="total effective resistance (Kirchhoff index)")
+    p.add_argument("--n", type=int, required=True)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_total)
+
+    p = subs.add_parser("sequence", help="terms of the context sequences")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--kind", choices=("bejaia", "pisa"), required=True)
+    p.add_argument("--count", type=int, required=True)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_sequence)
+
+    p = subs.add_parser("simulate", help="Monte Carlo first-passage estimate")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-steps", type=int, default=None)
+    add_common(p)
+    p.set_defaults(func=cli.cmd_simulate)
+
+    p = subs.add_parser("verify", help="run the full cross-validation suite")
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--trials", type=int, default=20000, help="Monte Carlo row trials")
+    p.add_argument("--seed", type=int, default=42, help="Monte Carlo row seed")
+    add_common(p)
+    p.set_defaults(func=cli.cmd_verify)
+
+    return parser
+
+
+def subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParserTable:
+    ARGV = {
+        "resistance": ["--n", "7", "--l", "1"],
+        "fpt": ["--n", "7", "--l", "2", "--format", "json"],
+        "mfpt": ["--n", "9", "--variant", "paper"],
+        "total": ["--n", "5", "--out", "x.json", "--tolerance", "1e-6"],
+        "sequence": ["--n", "7", "--kind", "pisa", "--count", "4", "--format", "csv"],
+        "simulate": ["--n", "7", "--l", "1", "--trials", "10", "--max-steps", "5"],
+        "verify": ["--n-max", "9", "--seed", "3"],
+    }
+
+    def test_top_level_help_is_the_reference(self):
+        assert cli.build_parser().format_help() == reference_parser().format_help()
+
+    def test_same_subcommands_in_the_same_order(self):
+        assert list(subcommands(cli.build_parser())) == list(subcommands(reference_parser())) == list(self.ARGV)
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_subcommand_help_is_the_reference(self, command):
+        got = subcommands(cli.build_parser())[command].format_help()
+        assert got == subcommands(reference_parser())[command].format_help()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_namespace_is_the_reference(self, command):
+        argv = [command, *self.ARGV[command]]
+        assert vars(cli.build_parser().parse_args(argv)) == vars(reference_parser().parse_args(argv))
 
 
 class TestPlumbing:

@@ -428,12 +428,15 @@ class TestReduceBy:
         assert as_pair(got) == as_pair(Fraction(num, den)) and hash(got) == hash(Fraction(num, den))
 
 
-class no_digit_limit:
-    """Lifts the int <-> str digit limit inside the block."""
+class digit_limit:
+    """Sets the int <-> str digit limit inside the block; 0 lifts it."""
+
+    def __init__(self, limit):
+        self.limit = limit
 
     def __enter__(self):
         self.old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(self.limit)
 
     def __exit__(self, *exc):
         sys.set_int_max_str_digits(self.old)
@@ -443,7 +446,8 @@ def _special(bits):
     return st.sampled_from([2**bits, 2**bits - 1, 2**bits + 1, 10 ** (bits * 3 // 10), 10 ** (bits * 3 // 10) - 1])
 
 
-SPANNING_BITS = st.integers(0, 3 * STR_SPLIT_BITS)
+# 3 * 2**15 bits: 48 times the split, so the recursion runs several levels deep
+SPANNING_BITS = st.integers(0, 48 * STR_SPLIT_BITS)
 
 
 class TestDecimalStr:
@@ -458,7 +462,7 @@ class TestDecimalStr:
     @settings(max_examples=60, deadline=None)
     def test_equals_str(self, x, negate):
         x = -x if negate else x
-        with no_digit_limit():
+        with digit_limit(0):
             assert decimal_str(x) == str(x)
 
     @pytest.mark.parametrize(
@@ -470,7 +474,20 @@ class TestDecimalStr:
         assert decimal_str(x) == str(x)
 
     def test_values_straddling_the_threshold(self):
-        with no_digit_limit():
+        with digit_limit(0):
             for bits in (STR_SPLIT_BITS - 1, STR_SPLIT_BITS, STR_SPLIT_BITS + 1, 2 * STR_SPLIT_BITS + 3):
                 for x in (2**bits - 1, 2**bits, 2**bits + 1, -(2**bits) - 1):
                     assert decimal_str(x) == str(x), (bits, x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [10**5000, 10**9000, 10**9900, -(10**9900) - 1, 2**131071 - 1, random.Random(5).getrandbits(1 << 17)],
+        ids=["10**5000", "10**9000", "10**9900", "-(10**9900)-1", "2**131071-1", "random 2**17 bits"],
+    )
+    def test_holds_at_the_least_digit_limit(self, x):
+        # 640 is the least limit CPython accepts; str() below the split
+        # never meets it, and the split itself converts no int to str
+        with digit_limit(0):
+            expected = str(x)
+        with digit_limit(640):
+            assert decimal_str(x) == expected
