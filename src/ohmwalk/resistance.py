@@ -146,6 +146,12 @@ def rel_dev(x: float, y: float) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
+def max_or_nan(devs: list[float]) -> float:
+    """The largest deviation, or NaN if any is NaN: the builtin `max` keeps
+    an earlier value against a later NaN, which would let a NaN route pass."""
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
+
+
 @dataclass(frozen=True)
 class ResistanceReport:
     """One (n, l) resistance with all three routes and their spread."""
@@ -167,9 +173,5 @@ def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None) -> Res
         spectrum = spectral_resistance(complete_minus_opposite(n))
     spec = float(spectrum[l])
     as_float = float(exact)
-    dev = max(
-        rel_dev(as_float, closed),
-        rel_dev(as_float, spec),
-        rel_dev(closed, spec),
-    )
+    dev = max_or_nan([rel_dev(as_float, closed), rel_dev(as_float, spec), rel_dev(closed, spec)])
     return ResistanceReport(n, l, exact, closed, spec, dev)

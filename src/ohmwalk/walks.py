@@ -2,10 +2,11 @@
 commute, and mean-first-passage times for the complete-minus-opposite
 family, a first-step-analysis oracle, and a seeded Monte Carlo simulator.
 
-The oracle solves its linear system exactly by p-adic lifting: one
-inversion modulo a word-size prime, then O(n^2) int64 work per lifted
-digit, rational reconstruction, and an exact check of the answer in Python
-ints before it is returned.
+The oracle's exact route folds its linear system onto the orbits of the
+reflection about the target, ~n/2 unknowns, and solves it by p-adic
+lifting: one inversion modulo a word-size prime, then O(n^2) int64 work
+per lifted digit, rational reconstruction, and an exact check of the
+answer in Python ints before it is returned.
 
 The simulator runs `_walk_np`, a refilled pool of trials in numpy lockstep
 that hands its last few trials to the pure-Python spec `_walk_py`.  Every
@@ -80,6 +81,13 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
     EXACT_SOLVE_LIMIT vertices (a list of Fractions, by `_solve_exact`'s
     certified p-adic lifting), by float LU beyond (an array).  Graphs above
     FPT_SOLVE_CAP vertices are refused.
+
+    The exact route solves the quotient by the reflection v -> 2*target - v,
+    an automorphism that fixes the target, so h[target + d] == h[target - d]
+    (Kemeny and Snell, Finite Markov Chains, 6.3): one unknown and one row
+    per orbit, representative target + d for d = 0..n//2, each mirrored
+    column target - d added in once (d = 0 and n/2 have no mirror), and the
+    answer mirrored back to all n vertices.
     """
     n = g.n
     if not 0 <= target < n:
@@ -93,7 +101,13 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
     rhs[target] = 0
     if n > EXACT_SOLVE_LIMIT:
         return np.linalg.solve(mat.astype(float), rhs.astype(float))
-    return _solve_exact(mat.tolist(), rhs.tolist())
+    reps = (target + np.arange(n // 2 + 1)) % n
+    mirrors = (2 * target - reps) % n
+    moved = mirrors != reps
+    folded = mat[np.ix_(reps, reps)]
+    folded[:, moved] += mat[np.ix_(reps, mirrors[moved])]
+    x = _solve_exact(folded.tolist(), rhs[reps].tolist())
+    return [x[min((v - target) % n, (target - v) % n)] for v in range(n)]
 
 
 def _solve_exact(a: list[list[int]], b: list[int]) -> list[Fraction]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ohmwalk import checks, cli, walks
+from ohmwalk import checks, cli, resistance, walks
 from ohmwalk.resistance import two_point_resistance
 
 
@@ -81,6 +81,18 @@ class TestResistance:
         assert lines[0].startswith("command,n,l,exact,float")
         assert "38/91" in lines[1]
 
+    def test_nan_spectral_route_fails_resistance(self, capsys, monkeypatch):
+        original = resistance.spectral_resistance
+
+        def nan_at_one(g):
+            spectrum = original(g)
+            spectrum[1] = math.nan
+            return spectrum
+
+        monkeypatch.setattr(resistance, "spectral_resistance", nan_at_one)
+        code, out, _ = run(capsys, "resistance", "--n", "7", "--l", "1", "--format", "json")
+        assert code == 3 and json.loads(out)["oracle_devs"]["spectral"] is None
+
 
 class TestOtherScalars:
     def test_fpt(self, capsys):
@@ -136,7 +148,6 @@ class TestOtherScalars:
         assert code == 3 and set(record["oracle_devs"].values()) == {None}
         code, out, _ = run(capsys, command, "--n", "7", *argv, "--format", "csv")
         assert out.splitlines()[1].endswith(",nan")
-
 
 class TestSequence:
     def test_bejaia_seven(self, capsys):

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ohmwalk import checks, circulant, spectral
+from ohmwalk import checks, circulant, resistance, spectral
 from ohmwalk.circulant import complete_minus_opposite
 from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
     half_sum_denominators,
+    max_or_nan,
     r_half_sums,
     resistance_report,
     total_effective_resistance,
@@ -282,6 +283,31 @@ class TestReport:
         assert len(calls) == 1 and row.passed
         monkeypatch.undo()
         assert row.max_dev == max(resistance_report(n, l).max_rel_dev for l in range(1, n))
+
+    @pytest.mark.parametrize("n", [5, 21, 59])
+    def test_oracle_check_reads_half_the_distances(self, n, monkeypatch):
+        calls = []
+        original = resistance.two_point_resistance_radical
+        monkeypatch.setattr(resistance, "two_point_resistance_radical",
+                            lambda n, l: calls.append(l) or original(n, l))
+        assert checks.check_resistance_oracles(n, 1e-9).passed
+        assert calls == list(range(1, (n - 1) // 2 + 1))
+
+    def test_max_or_nan(self):
+        assert max_or_nan([0.0, 3e-16, 1e-16]) == 3e-16
+        assert math.isnan(max_or_nan([0.0, math.nan, 1e-16]))
+        assert math.isnan(max_or_nan([1.0, math.nan]))
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_a_nan_spectral_route_fails(self, l, monkeypatch):
+        # the builtin max would keep the finite deviation ahead of the NaN
+        n = 9
+        spectrum = spectral_resistance(complete_minus_opposite(n))
+        spectrum[l] = math.nan
+        assert math.isnan(resistance_report(n, l, spectrum).max_rel_dev)
+        monkeypatch.setattr(checks, "spectral_resistance", lambda g: spectrum)
+        row = checks.check_resistance_oracles(n, 1e-9)
+        assert math.isnan(row.max_dev) and not row.passed
 
 
 @given(n=st.integers(2, 200).map(lambda k: 2 * k + 1))

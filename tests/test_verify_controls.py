@@ -130,6 +130,19 @@ CONTROLS = {
         mutant(walks._solve_exact, "digits.append(digit)", "digits.append(digit + 1)"),
         at_every_n("markov_fpt"),
     ),
+    # the reflection fold of the exact route, without its mirrored columns
+    "fold_mirror_dropped": (
+        walks.markov_fpt,
+        mutant(walks.markov_fpt, "folded[:, moved] += mat[np.ix_(reps, mirrors[moved])]", "pass"),
+        at_every_n("markov_fpt"),
+    ),
+    # R(l) == R(n - l) unfolded in every route's validation: only half_sums
+    # reads a distance above (n-1)/2 through it
+    "distance_fold_dropped": (
+        resistance._validate_pair,
+        mutant(resistance._validate_pair, "min(l, n - l)", "l"),
+        at_every_n("half_sums"),
+    ),
     "all_resistances_skew": (
         spectral.all_resistances,
         scaled(spectral.all_resistances, 1 + 1e-7),

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ohmwalk import _walk_np, _walk_py, walks
+from ohmwalk import _walk_np, _walk_py, checks, walks
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
 from ohmwalk.exact import SequenceContext, half_index_pair
 from ohmwalk.spectral import spectral_resistance
@@ -180,6 +180,15 @@ class TestMarkovOracle:
         with pytest.raises(ValueError):
             markov_fpt(cycle_graph(5), 5)
 
+    @pytest.mark.parametrize("n", [5, 21, 59])
+    def test_verify_row_reads_half_the_distances(self, n, monkeypatch):
+        # the exact route gives h[n - l] the same value as h[l]
+        calls = []
+        monkeypatch.setattr(checks, "fpt_closed", lambda n, l: calls.append(l) or fpt_closed(n, l))
+        row = checks.check_markov(n, 1e-9)
+        assert row.passed and row.detail == "exact"
+        assert calls == list(range(1, (n - 1) // 2 + 1))
+
 
 def _old_solve_fpt_exact(g, target, deg):
     # the neighbour-loop Fraction elimination markov_fpt used before it
@@ -252,10 +261,10 @@ class TestSharedSystem:
 
 
 @st.composite
-def connected_circulants(draw):
-    """Circulants on 3..60 vertices, odd and even, half of the even ones
+def connected_circulants(draw, max_n=60):
+    """Circulants on 3..max_n vertices, odd and even, half of the even ones
     with the jump n/2 (one neighbour, not two)."""
-    n = draw(st.integers(3, 60))
+    n = draw(st.integers(3, max_n))
     jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
     if n % 2 == 0 and draw(st.booleans()):
         jumps.add(n // 2)
@@ -272,6 +281,27 @@ def _pinned_system(g, target):
     rhs = np.full(g.n, g.degree)
     rhs[target] = 0
     return mat, rhs
+
+
+def _unfolded_markov_fpt(g, target):
+    # markov_fpt's exact route before the reflection fold, solving the whole
+    # pinned system: the reference
+    mat, rhs = _pinned_system(g, target)
+    return _solve_exact(mat.tolist(), rhs.tolist())
+
+
+class TestReflectionFold:
+    @settings(max_examples=25, deadline=None)
+    @given(g=connected_circulants(max_n=40))
+    @example(g=cycle_graph(3))
+    @example(g=CirculantGraph(4, (1, 2)))
+    @example(g=CirculantGraph(12, (1, 4, 6)))
+    @example(g=CirculantGraph(40, (3, 20)))
+    def test_equals_the_unfolded_solve_at_every_target(self, g):
+        for target in range(g.n):
+            h = markov_fpt(g, target)
+            assert all(type(x) is Fraction for x in h)
+            assert h == _unfolded_markov_fpt(g, target)
 
 
 def _mutant(fn, old, new):
