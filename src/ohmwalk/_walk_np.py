@@ -5,6 +5,11 @@ A pool of BLOCK slots advances in lockstep.  A slot whose trial ends takes
 the next trial index and keeps the iteration it started at, so trials need
 not share a step count.  Once none is left to start and at most TAIL are
 live, the spec's `_walk_py._finish` runs each to its end, cheaper there.
+
+A draw is reduced mod the degree in one pass (a mask) when the degree is a
+power of two, else in three (a division).  Finished trials' squared steps
+sum in one int64 dot while it^2 * count < 2^63 at iteration it, else in
+three dots over 16-bit halves (`_square_sum`).
 """
 
 from __future__ import annotations
@@ -35,8 +40,12 @@ def _mix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _square_sum(steps: np.ndarray) -> int:
-    """Exact sum of squares of steps in [0, 2^31), as hi * 2^16 + lo: no int64 dot overflows."""
+def _square_sum(steps: np.ndarray, top: int = 2**31 - 1) -> int:
+    """Exact sum of squares of steps in [0, 2^31), none above top: one int64
+    dot while top^2 * len(steps) < 2^63, else hi * 2^16 + lo, whose dots
+    cannot overflow."""
+    if top * top * steps.size < 1 << 63:
+        return int(steps @ steps)
     hi, lo = steps >> 16, steps & 0xFFFF
     return (int(hi @ hi) << 32) + (int(hi @ lo) << 17) + int(lo @ lo)
 
@@ -58,6 +67,8 @@ def run_trials(
     offs = np.asarray([o % n for o in offsets], dtype=np.uint64)
     deg = np.uint64(len(offsets))
     rem = (1 << 64) % len(offsets)  # 0: every draw is accepted
+    # rem is 0 just when deg is a power of two, and then draw % deg is draw & (deg - 1)
+    mask = None if rem else deg - np.uint64(1)
     threshold = np.uint64(-rem % (1 << 64))
     size = min(BLOCK, trials)
     tmp = np.empty(size, dtype=np.uint64)
@@ -82,10 +93,11 @@ def run_trials(
         if k < idle.size:  # no trial left to start: close the other slots
             keep = np.ones(pos.size, dtype=bool)
             keep[idle[k:]] = False
+            live = np.flatnonzero(keep)
             # one at a time, so that only one old array outlives its copy
-            state = state[keep]
-            pos = pos[keep]
-            start = start[keep]
+            state = state.take(live)
+            pos = pos.take(live)
+            start = start.take(live)
         if nxt == end and pos.size <= TAIL:
             for s, p, b in zip(state.tolist(), pos.tolist(), start.tolist()):
                 steps, cut = _walk_py._finish(s, p, it - b, n, offsets, target, max_steps)
@@ -103,11 +115,14 @@ def run_trials(
                 state[bad] = fresh
                 draw[bad] = _mix(fresh, fresh, tmp[: bad.size])
                 bad = bad[fresh >= threshold]
-        # draw % deg, as draw - (draw // deg) * deg: numpy divides by a
-        # scalar through libdivide, several times faster than remainder
-        quot = np.floor_divide(draw, deg, out=tmp[:m])
-        quot *= deg
-        draw -= quot
+        quot = tmp[:m]
+        if mask is not None:
+            draw &= mask
+        else:  # draw % deg, as draw - (draw // deg) * deg: numpy divides by
+            # a scalar through libdivide, several times faster than remainder
+            np.floor_divide(draw, deg, out=quot)
+            quot *= deg
+            draw -= quot
         pos += np.take(offs, draw.view(np.int64), out=quot, mode="clip")  # draw < deg
         # offsets lie in [0, n), so pos < 2n; pos - n wraps past pos
         # unless pos >= n, and the minimum of the two is pos mod n
@@ -124,4 +139,4 @@ def run_trials(
         if idle.size:
             steps = it - start[idle]
             total += int(steps.sum())
-            total_sq += _square_sum(steps)
+            total_sq += _square_sum(steps, it)  # every step count is at most it

@@ -51,7 +51,7 @@ class CheckResult:
 def check_sin_identity(n: int, tol: float) -> CheckResult:
     # 4 * sum_{m<=(n-1)/2} sin^2(k*m*pi/n) == n for every mode k: each nonzero
     # Laplacian eigenvalue of the complete graph K_n, in its sine form, is n
-    dev = max(abs(lam - n) for lam in eigenvalues_circulant(complete_graph(n)).values[1:]) / n
+    dev = max_or_nan([abs(lam - n) for lam in eigenvalues_circulant(complete_graph(n)).values[1:]]) / n
     return CheckResult("sin_identity", n, dev, dev <= tol)
 
 
@@ -60,30 +60,22 @@ def check_spectrum(n: int, tol: float) -> CheckResult:
     split = sorted(eigenvalues_minus_opposite(n).values)
     direct = sorted(eigenvalues_circulant(g).values)
     numeric = np.sort(np.linalg.eigvalsh(g.laplacian_dense().astype(float)))
-    dev = float(
-        max(
-            max(abs(a - b) for a, b in zip(split, direct)) / n,
-            max(abs(a - b) for a, b in zip(split, numeric)) / n,
-        )
-    )
+    # sorting moves a NaN but keeps it, so some pair below differs by NaN
+    dev = float(max_or_nan([abs(a - b) / n for other in (direct, numeric) for a, b in zip(split, other)]))
     return CheckResult("spectrum", n, dev, dev <= tol)
 
 
 def check_power_sums(n: int, tol: float) -> CheckResult:
     exponents = sorted({1, 2, 3, n, n + 1, 2 * n, 2 * n + 3})
-    dev = 0.0
-    for k in exponents:
-        dev = max(dev, rel_dev(sin_power_sum(n, k), sin_power_sum_direct(n, k)))
-        dev = max(dev, rel_dev(cos_odd_power_sum(n, k), cos_odd_power_sum_direct(n, k)))
+    routes = ((sin_power_sum, sin_power_sum_direct), (cos_odd_power_sum, cos_odd_power_sum_direct))
+    dev = max_or_nan([rel_dev(closed(n, k), direct(n, k)) for k in exponents for closed, direct in routes])
     return CheckResult("power_sums", n, dev, dev <= tol)
 
 
 def check_half_sums(n: int, tol: float) -> CheckResult:
-    dev = 0.0
     denominators = half_sum_denominators(n)
-    for l in range(1, n):
-        r1, r2, closed = r_half_sums(n, l, denominators)
-        dev = max(dev, abs(r1 - r2), abs(r1 - closed))
+    sums = [r_half_sums(n, l, denominators) for l in range(1, n)]
+    dev = max_or_nan([abs(r1 - other) for r1, r2, closed in sums for other in (r2, closed)])
     return CheckResult("half_sums", n, dev, dev <= tol)
 
 
@@ -160,7 +152,7 @@ def check_markov(n: int, tol: float) -> CheckResult:
     if isinstance(h, list):  # exact route, where h[n - l] is h[l]
         ok = all(h[l] == fpt_closed(n, l) for l in range(1, (n - 1) // 2 + 1))
         return CheckResult("markov_fpt", n, 0.0 if ok else 1.0, ok, detail="exact")
-    dev = max(rel_dev(float(h[l]), float(fpt_closed(n, l))) for l in range(1, n))
+    dev = max_or_nan([rel_dev(float(h[l]), float(fpt_closed(n, l))) for l in range(1, n)])
     return CheckResult("markov_fpt", n, dev, dev <= tol, detail="float")
 
 

@@ -8,6 +8,7 @@ code, so every row fails under at least one control here.
 """
 
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,10 @@ def shifted(fn, delta):
     return lambda *args: fn(*args) + delta
 
 
+def each_shifted(fn, delta):
+    return lambda *args: [x + delta for x in fn(*args)]
+
+
 def skew_first_mode(fn):
     """`fn`'s spectrum with the first mode and its mirror 1e-6 too large;
     `fn` may take n or a graph."""
@@ -50,6 +55,35 @@ def skew_first_mode(fn):
         n, values = spectrum.n, list(spectrum.values)
         values[1] = values[n - 1] = values[1] * (1 + 1e-6)
         return spectral.EigenSpectrum(n, tuple(values))
+    return faulty
+
+
+def nan_mode(fn, mode, applies=lambda arg: True):
+    """`fn`'s spectrum with an interior `mode` and its mirror made NaN,
+    for the arguments where `applies` holds; `fn` may take n or a graph."""
+    def faulty(arg):
+        spectrum = fn(arg)
+        if not applies(arg):
+            return spectrum
+        n, values = spectrum.n, list(spectrum.values)
+        values[mode] = values[n - mode] = math.nan
+        return spectral.EigenSpectrum(n, tuple(values))
+    return faulty
+
+
+def nan_when(fn, when):
+    """`fn` returning NaN on the arguments where `when` holds."""
+    return lambda *args: math.nan if when(*args) else fn(*args)
+
+
+def nan_item(fn, item, when=lambda *args: True):
+    """`fn`'s result as a float array, the form of a float route, with
+    `item` made NaN on the arguments where `when` holds."""
+    def faulty(*args):
+        out = np.array(fn(*args), dtype=float)
+        if when(*args):
+            out[item] = math.nan
+        return out
     return faulty
 
 
@@ -94,7 +128,7 @@ CONTROLS = {
     # the symmetry identity reads every B_k from one listed sequence
     "bejaia_off_by_one": (
         exact.bejaia_sequence,
-        lambda *args: [b + 1 for b in exact.bejaia_sequence(*args)],
+        each_shifted(exact.bejaia_sequence, 1),
         at_every_n("symmetry_identity"),
     ),
     "sum_bejaia_even_off_by_one": (
@@ -148,6 +182,34 @@ CONTROLS = {
         scaled(spectral.all_resistances, 1 + 1e-7),
         at_every_n("resistance_oracles", "foster"),
     ),
+    # A NaN at an interior position of one route: the builtin max would keep
+    # the finite deviations ahead of it, and the row would pass.
+    "nan_complete_graph_mode": (
+        spectral.eigenvalues_circulant,
+        nan_mode(spectral.eigenvalues_circulant, 2, lambda g: g.degree == g.n - 1),
+        at_every_n("sin_identity"),
+    ),
+    "nan_split_mode": (
+        spectral.eigenvalues_minus_opposite,
+        nan_mode(spectral.eigenvalues_minus_opposite, 2),
+        at_every_n("spectrum", "eigentime"),
+    ),
+    "nan_direct_power_sum": (
+        spectral.sin_power_sum_direct,
+        nan_when(spectral.sin_power_sum_direct, lambda n, k: k == n),
+        at_every_n("power_sums"),
+    ),
+    "nan_odd_half_sum": (
+        resistance.r_half_sums,
+        nan_item(resistance.r_half_sums, 1, lambda n, l, *rest: l == 3),
+        at_every_n("half_sums"),
+    ),
+    # hitting times in floats, as markov_fpt returns them above EXACT_SOLVE_LIMIT
+    "nan_float_hitting_time": (
+        walks.markov_fpt,
+        nan_item(walks.markov_fpt, 2),
+        at_every_n("markov_fpt"),
+    ),
     # odd draws pick only the offsets +2 and -2 at n = 7, so the walk from 0
     # to 1 takes 12 steps on average instead of 76/13
     "biased_kernel_draw": (
@@ -174,3 +236,14 @@ def test_fault_fails_exactly_its_rows(capsys, monkeypatch, control):
     assert code == 3
     assert out.rstrip().endswith("FAILURES PRESENT")
     assert failed == rows
+    # the one control whose check raises; any other fails on its deviation
+    assert (" raised " in out) == (control == "padic_corrupted_digit")
+
+
+@pytest.mark.parametrize("control", sorted(c for c in CONTROLS if c.startswith("nan_")))
+def test_planted_nan_is_the_deviation(capsys, monkeypatch, control):
+    # each row fails on its NaN deviation, not by raising
+    fn, faulty, rows = CONTROLS[control]
+    plant(monkeypatch, fn, faulty)
+    out = failed_rows(capsys)[1]
+    assert all(line.split()[2] == "nan" for line in out.splitlines() if " FAIL " in line)

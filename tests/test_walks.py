@@ -616,6 +616,25 @@ class TestSimulate:
         assert _walk_np._square_sum(steps) == expected
         assert _walk_np._square_sum(steps[:0]) == 0
 
+    def test_square_sum_paths_meet_at_the_dot_limit(self):
+        top = 100_000_007
+        below = (2**63 - 1) // top**2  # the most steps of at most top that one int64 dot sums
+        for size in (below, below + 1):
+            steps = np.full(size, top, dtype=np.int64)
+            expected = size * top * top
+            assert _walk_np._square_sum(steps, top) == expected  # one dot below, 16-bit halves above
+            assert _walk_np._square_sum(steps) == expected  # 16-bit halves: top taken as 2^31 - 1
+            assert (int(steps @ steps) == expected) == (size == below)  # one past, the dot wraps
+
+    # every family degree 2..38: 2, 4, 8, 16 and 32 reduce draws by a mask,
+    # the others by a division; max_steps = 2n truncates some trials
+    @pytest.mark.parametrize("block", [_walk_np.BLOCK, 1, 7])
+    @pytest.mark.parametrize("n", range(5, 43, 2))
+    def test_kernel_parity_at_every_family_degree(self, monkeypatch, n, block):
+        monkeypatch.setattr(_walk_np, "BLOCK", block)
+        args = _kernel_args(n, (n - 1) // 2, 40 if block == 1 else 200, n, 2 * n)
+        assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
+
     def test_estimates_within_stderr_band(self):
         cases = [(5, 2, 6.0), (7, 1, 76 / 13)]
         for n, l, exact in cases:
