@@ -105,13 +105,13 @@ def cmd_total(args) -> int:
 def cmd_sequence(args) -> int:
     ctx = SequenceContext(args.n)
     fn = bejaia_sequence if args.kind == "bejaia" else pisa_sequence
-    terms = fn(ctx, args.count)
+    terms = [decimal_str(t) for t in fn(ctx, args.count)]
     record = {
         "command": "sequence",
         "inputs": {"n": args.n, "kind": args.kind, "count": args.count},
-        "terms": [str(t) for t in terms],
+        "terms": terms,
     }
-    plain = [",".join(str(t) for t in terms)]
+    plain = [",".join(terms)]
     csv_rows = [["l", "value"]] + [[i, t] for i, t in enumerate(terms)]
     _emit(args, record, plain, csv_rows)
     return EXIT_OK
@@ -214,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact fractions and sequence terms run to many thousands of digits
-    if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):

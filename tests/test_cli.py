@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ohmwalk import checks, cli, resistance, walks
+from ohmwalk.exact import SequenceContext, bejaia_sequence
 from ohmwalk.resistance import two_point_resistance
 
 
@@ -21,6 +23,23 @@ def residue(digits, p):
         chunk = digits[i : i + 1000]
         r = (r * pow(10, len(chunk), p) + int(chunk)) % p
     return r
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Sets the int <-> str digit limit inside the block; 0 lifts it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def default_digit_limit():
+    with digit_limit(sys.int_info.default_max_str_digits):
+        yield
 
 
 def reject_constant(name):
@@ -467,7 +486,7 @@ class TestPlumbing:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_exact_output_has_no_digit_limit(self, capsys):
+    def test_exact_output_has_no_digit_limit(self, capsys, default_digit_limit):
         # the numerator and denominator run past Python's default
         # 4300-digit limit on int <-> str conversion
         code, out, err = run(capsys, "resistance", "--n", "3001", "--l", "1",
@@ -475,7 +494,9 @@ class TestPlumbing:
         assert (code, err) == (0, "")
         record = json.loads(out)
         assert max(len(part) for part in record["exact"].split("/")) > 4300
-        assert Fraction(record["exact"]) == two_point_resistance(3001, 1)
+        with digit_limit(0):  # the CLI prints under any limit; this parse needs it lifted
+            exact = Fraction(record["exact"])
+        assert exact == two_point_resistance(3001, 1)
 
     @pytest.mark.parametrize(
         "argv, quantity",
@@ -531,3 +552,42 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.main(["resistance", "--n", "7", "--l", "1", "--bogus"])
         assert exc.value.code == 2
+
+
+# one call of each subcommand
+ONE_CALL = {
+    "resistance": ["--n", "7", "--l", "1"],
+    "fpt": ["--n", "7", "--l", "2"],
+    "mfpt": ["--n", "7"],
+    "total": ["--n", "7"],
+    "sequence": ["--n", "7", "--kind", "pisa", "--count", "5"],
+    "simulate": ["--n", "7", "--l", "1", "--trials", "200", "--seed", "1"],
+    "verify": ["--n-max", "5", "--trials", "200"],
+}
+
+LAST_TERM = {
+    "plain": lambda out: out.rstrip("\n").split(",")[-1],
+    "json": lambda out: json.loads(out)["terms"][-1],
+    "csv": lambda out: out.rstrip("\n").splitlines()[-1].split(",")[1],
+}
+
+
+class TestDigitLimit:
+    """The CLI prints exact integers of any length under the interpreter's
+    int <-> str digit limit, and leaves that limit as it found it."""
+
+    @pytest.mark.parametrize("command", [name for name, *_ in cli.COMMANDS])
+    def test_main_leaves_the_limit_as_it_found_it(self, capsys, default_digit_limit, command):
+        assert run(capsys, command, *ONE_CALL[command])[0] == 0
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize("fmt", sorted(LAST_TERM))
+    def test_terms_past_the_limit_print_in_full(self, capsys, default_digit_limit, fmt):
+        code, out, err = run(capsys, "sequence", "--n", "1001", "--kind", "bejaia",
+                             "--count", "1500", "--format", fmt)
+        assert (code, err) == (0, "")
+        expected = bejaia_sequence(SequenceContext(1001), 1500)[-1]
+        with digit_limit(0):
+            expected = str(expected)
+        assert len(expected) == 4494
+        assert LAST_TERM[fmt](out) == expected

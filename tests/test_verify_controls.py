@@ -8,6 +8,7 @@ code, so every row fails under at least one control here.
 """
 
 import inspect
+import json
 import math
 from fractions import Fraction
 
@@ -226,6 +227,14 @@ def failed_rows(capsys):
 
 def test_unfaulted_suite_passes(capsys):
     assert failed_rows(capsys)[::2] == (0, set())
+
+
+def test_every_row_has_a_control(capsys):
+    # the README's claim, so that no row lands without a negative control;
+    # each control's rows are rows of the suite, so the sets are equal
+    assert cli.main(["verify", "--n-max", "9", "--trials", "2000", "--format", "json"]) == 0
+    names = {row["check"] for row in json.loads(capsys.readouterr().out)["rows"]}
+    assert names == {name for _, _, rows in CONTROLS.values() for name, _ in rows}
 
 
 @pytest.mark.parametrize("control", sorted(CONTROLS))
