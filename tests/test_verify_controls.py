@@ -4,13 +4,18 @@ and that `verify` exits 3.
 
 A fault is planted at every binding of the faulted function, as a real
 defect in it would be seen by all of its callers.  Every row reads package
-code, so every row fails under at least one control here.
+code, so every row fails under at least one control here.  The tests at
+the end hold `checks.ROWS`, the table of rows, to these controls, to the
+suite's one exception boundary and to the benchmark's spans.
 """
 
+import importlib.util
 import inspect
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +216,18 @@ CONTROLS = {
         nan_item(walks.markov_fpt, 2),
         at_every_n("markov_fpt"),
     ),
+    # R(2) and R(n - 2) from the one FFT that gives every distance; at n = 5
+    # foster reads only R(1) and R(4)
+    "nan_spectral_distance": (
+        spectral.all_resistances,
+        nan_item(spectral.all_resistances, [2, -2]),
+        at_every_n("resistance_oracles") | {("foster", "7"), ("foster", "9")},
+    ),
+    "nan_conjugate_ratio_radical": (
+        resistance.conjugate_ratio_radical,
+        nan_when(resistance.conjugate_ratio_radical, lambda n: True),
+        at_every_n("conjugate_ratio"),
+    ),
     # odd draws pick only the offsets +2 and -2 at n = 7, so the walk from 0
     # to 1 takes 12 steps on average instead of 76/13
     "biased_kernel_draw": (
@@ -256,3 +273,41 @@ def test_planted_nan_is_the_deviation(capsys, monkeypatch, control):
     plant(monkeypatch, fn, faulty)
     out = failed_rows(capsys)[1]
     assert all(line.split()[2] == "nan" for line in out.splitlines() if " FAIL " in line)
+
+
+def test_every_float_row_has_a_nan_control():
+    # symmetry_identity and sequence_identities compare exact integers
+    nan_rows = {name for control, (_, _, rows) in CONTROLS.items() if control.startswith("nan_")
+                for name, _ in rows}
+    exact_rows = {"symmetry_identity", "sequence_identities"}
+    assert nan_rows == {name for name, _, _ in checks.ROWS} - exact_rows
+
+
+@pytest.mark.parametrize(
+    "name, check", [(name, check) for name, check, _ in checks.ROWS] + [("monte_carlo", "check_monte_carlo")]
+)
+def test_a_raising_check_fails_exactly_its_row(capsys, monkeypatch, name, check):
+    def raising(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(checks, check, raising)
+    code = cli.main(["verify", "--n-max", "9", "--trials", "2000", "--format", "json"])
+    captured = capsys.readouterr()
+    failed = [row for row in json.loads(captured.out)["rows"] if not row["passed"]]
+    assert code == 3
+    ns = [7] if name == "monte_carlo" else [5, 7, 9]
+    assert [(row["check"], row["n"]) for row in failed] == [(name, n) for n in ns]
+    assert all(row["max_dev"] == 1.0 and row["detail"] == "raised RuntimeError" for row in failed)
+    assert captured.err.count("RuntimeError: planted") == len(failed)
+
+
+def test_benchmark_spans_name_every_row(monkeypatch):
+    # perfbench/spans.py wraps each check by name: a row without a span
+    # would read 0 in every traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up there
+    spec.loader.exec_module(spans)
+    rows = {check: name for name, check, _ in checks.ROWS}
+    assert spans.CHECKS == {**rows, "check_monte_carlo": "monte_carlo"}
