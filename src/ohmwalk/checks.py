@@ -27,6 +27,7 @@ from .resistance import (
     r_half_sums,
     rel_dev,
     resistance_report,
+    two_point_resistances,
 )
 from .spectral import (
     cos_odd_power_sum,
@@ -78,8 +79,9 @@ def check_power_sums(n: int, tol: float) -> Measured:
 
 
 def check_half_sums(n: int, tol: float) -> Measured:
-    denominators = half_sum_denominators(n)
-    sums = [r_half_sums(n, l, denominators) for l in range(1, n)]
+    # R(l) from one table per n; resistance_oracles checks the per-l route
+    denominators, table = half_sum_denominators(n), two_point_resistances(n)
+    sums = [r_half_sums(n, l, denominators, table) for l in range(1, n)]
     dev = max_or_nan([abs(r1 - other) for r1, r2, closed in sums for other in (r2, closed)])
     return Measured(dev, dev <= tol)
 
@@ -95,11 +97,11 @@ def check_symmetry_identity(n: int, tol: float) -> Measured:
     # B_{2(n-l)} - B_{2l} - 2 B_{n-2l} == ratio * (B_{n-l}^2 - B_l^2), exactly,
     # every B_k from one list, with B_{-k} = -B_k
     ctx = SequenceContext(n)
-    ratio = conjugate_ratio(ctx)
+    num, den = conjugate_ratio(ctx).as_integer_ratio()
     bs = bejaia_sequence(ctx, 2 * n - 1)
     ok = all(
-        Fraction(bs[2 * (n - l)] - bs[2 * l] - 2 * (bs[n - 2 * l] if 2 * l < n else -bs[2 * l - n]))
-        == ratio * (bs[n - l] ** 2 - bs[l] ** 2)
+        den * (bs[2 * (n - l)] - bs[2 * l] - 2 * (bs[n - 2 * l] if 2 * l < n else -bs[2 * l - n]))
+        == num * (bs[n - l] ** 2 - bs[l] ** 2)
         for l in range(1, n)
     )
     return Measured(0.0 if ok else 1.0, ok)
@@ -163,11 +165,10 @@ def check_markov(n: int, tol: float) -> Measured:
 
 def check_foster(n: int, tol: float) -> Measured:
     g = complete_minus_opposite(n)
-    r = spectral_resistance(g).tolist()
-    offsets = g.neighbor_offsets()
-    # each edge once, from its lower end v to w = v + off mod n
-    total = sum(r[off] for v in range(n) for off in offsets if v < (v + off) % n)
-    dev = rel_dev(total, n - 1.0)
+    offsets, v = np.array(g.neighbor_offsets()), np.arange(n)[:, None]
+    # each edge once, from its lower end v to v + off mod n, in (v, off) order for the builtin sum
+    terms = np.broadcast_to(spectral_resistance(g)[offsets], (n, len(offsets)))[v < (v + offsets) % n]
+    dev = rel_dev(sum(terms.tolist()), n - 1.0)
     return Measured(dev, dev <= tol)
 
 

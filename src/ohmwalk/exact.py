@@ -127,14 +127,14 @@ def sum_bejaia_even(ctx: SequenceContext, n: int) -> Fraction:
     """sum_{l=1..n} B_{2l} = (P_{2n+1} - P_1) / d, from one `power_pair`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Fraction(power_pair(ctx, 2 * n + 1)[1] - (ctx.n - 2), ctx.d)
+    return reduce_by(power_pair(ctx, 2 * n + 1)[1] - (ctx.n - 2), ctx.d, ctx.d)
 
 
 def sum_bejaia_squares(ctx: SequenceContext, n: int) -> Fraction:
     """sum_{l=1..n} B_l**2 = (B_{2n+1} - B_1 - 2n) / d, from one `power_pair`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Fraction(power_pair(ctx, 2 * n + 1)[0] - 1 - 2 * n, ctx.d)
+    return reduce_by(power_pair(ctx, 2 * n + 1)[0] - 1 - 2 * n, ctx.d, ctx.d)
 
 
 def conjugate_ratio(ctx: SequenceContext) -> Fraction:

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circulant import complete_minus_opposite
-# conjugate_ratio and sequence_pair are not called here; perfbench/spans.py wraps these bindings
+# conjugate_ratio is not called here; perfbench/spans.py wraps this binding
 from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair, reduce_by, sequence_pair
 from .spectral import eigenvalues_minus_opposite, spectral_resistance
 
@@ -56,6 +56,13 @@ def two_point_resistance(n: int, l: int) -> Fraction:
     b, p = power_pair(ctx, l)
     u, w = half_index_pair(ctx)
     return Fraction(b * (p * w - (n - 4) * u * b), w)
+
+
+def two_point_resistances(n: int) -> list[Fraction]:
+    """[R(0), ..., R((n-1)/2)] from one `sequence_pair`, not a powering per l."""
+    ctx = SequenceContext(n)
+    u, w = half_index_pair(ctx)
+    return [Fraction(b * (p * w - (n - 4) * u * b), w) for b, p in zip(*sequence_pair(ctx, (n - 1) // 2))]
 
 
 def two_point_resistance_radical(n: int, l: int) -> float:
@@ -102,13 +109,15 @@ def half_sum_denominators(n: int) -> tuple[list[float], list[float]]:
     return even, [n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2 for k in ks]
 
 
-def r_half_sums(n: int, l: int, denominators: tuple | None = None) -> tuple[float, float, float]:
+def r_half_sums(n: int, l: int, denominators: tuple | None = None,
+                table: list[Fraction] | None = None) -> tuple[float, float, float]:
     """The even-mode and odd-mode halves of the resistance sum, plus the
     closed-form half R(l)/2.  Both direct trigonometric sums equal R(l)/2;
     they are returned separately so callers can check it.  Pass
-    `half_sum_denominators(n)` as `denominators` to reuse them across l.
+    `half_sum_denominators(n)` as `denominators` and `two_point_resistances(n)`
+    as `table` to reuse them across l; the table is read at the folded l.
     """
-    _validate_pair(n, l)
+    _, fold = _validate_pair(n, l)
     even, odd = denominators or half_sum_denominators(n)
     r1 = (4.0 / n) * sum(
         math.sin(2 * k * l * math.pi / n) ** 2 / den for k, den in enumerate(even, 1)
@@ -116,7 +125,7 @@ def r_half_sums(n: int, l: int, denominators: tuple | None = None) -> tuple[floa
     r2 = (4.0 / n) * sum(
         math.sin((2 * k - 1) * l * math.pi / n) ** 2 / den for k, den in enumerate(odd, 1)
     )
-    closed = float(two_point_resistance(n, l)) / 2.0
+    closed = float(two_point_resistance(n, l) if table is None else table[fold]) / 2.0
     return r1, r2, closed
 
 

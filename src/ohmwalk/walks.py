@@ -3,10 +3,11 @@ commute, and mean-first-passage times for the complete-minus-opposite
 family, a first-step-analysis oracle, and a seeded Monte Carlo simulator.
 
 The oracle's exact route folds its linear system onto the orbits of the
-reflection about the target, ~n/2 unknowns, and solves it by p-adic
-lifting: one inversion modulo a word-size prime, then O(n^2) int64 work
-per lifted digit, rational reconstruction, and an exact check of the
-answer in Python ints before it is returned.
+reflection about the target, ~n/2 unknowns, and solves it by numeric
+lifting: one float inverse, then O(n^2) float and int64 work per lifted
+digit, each digit's error corrected in exact integers, rational
+reconstruction, and an exact check of the answer in Python ints before it
+is returned.
 
 The simulator runs `_walk_np`, a refilled pool of trials in numpy lockstep
 that hands its last few trials to the pure-Python spec `_walk_py`.  Every
@@ -32,11 +33,14 @@ _MAX_STEPS_LIMIT = 2**31
 
 EXACT_SOLVE_LIMIT = 60  # first-step analysis switches to float LU above this
 FPT_SOLVE_CAP = 2048  # markov_fpt refuses graphs with more vertices
-# The exact route's prime, 2^26 - 5, a literal so that import searches for no
-# prime.  Below 2^26 a mat-vec of residues is exact in int64 for every
-# n <= FPT_SOLVE_CAP: n * (LIFT_PRIME - 1)^2 < 2^11 * 2^52 = 2^63, and so is
-# the delayed reduction of `_inverse_mod_p`: P + n * (P - 1)^2 < 2^63.
-LIFT_PRIME = 67_108_859
+# The exact route lifts LIFT_BITS bits a step and raises on a digit above
+# DIGIT_BOUND or a residual above RESIDUAL_BOUND.  Rows of a pinned Laplacian
+# on n <= EXACT_SOLVE_LIMIT vertices, folded or not, have absolute sums
+# <= 2(n - 1) < 2^7, so |a @ digit| < 2^62, |residual << LIFT_BITS| <= 2^61
+# and the next residual stays below 2^63: int64 is exact.
+LIFT_BITS = 30
+DIGIT_BOUND = 2**55
+RESIDUAL_BOUND = 2**31
 
 
 def kernel_backend() -> str:
@@ -47,7 +51,7 @@ def kernel_backend() -> str:
 def fpt_closed(n: int, l: int) -> Fraction:
     """Expected steps from a vertex to one at circular distance l on the
     complete-minus-opposite graph: |E| * R(l) with |E| = n(n-3)/2."""
-    return Fraction(n * (n - 3), 2) * two_point_resistance(n, l)
+    return n * (n - 3) // 2 * two_point_resistance(n, l)
 
 
 def commute_time_closed(n: int, l: int) -> Fraction:
@@ -79,7 +83,7 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
     Both routes solve one system, the Laplacian (deg*I - A) h = deg*1 with
     the target row pinned to h = 0: exactly over the rationals up to
     EXACT_SOLVE_LIMIT vertices (a list of Fractions, by `_solve_exact`'s
-    certified p-adic lifting), by float LU beyond (an array).  Graphs above
+    certified numeric lifting), by float LU beyond (an array).  Graphs above
     FPT_SOLVE_CAP vertices are refused.
 
     The exact route solves the quotient by the reflection v -> 2*target - v,
@@ -111,67 +115,59 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction] | np.ndarray:
 
 
 def _solve_exact(a: list[list[int]], b: list[int]) -> list[Fraction]:
-    """Solve a x = b over the rationals by p-adic lifting (Dixon, 1982).
+    """Solve a x = b over the rationals by numeric lifting (Wan, 2006).
 
-    a is inverted once modulo LIFT_PRIME, and each base-P digit of x costs
-    two int64 mat-vecs.  Lifting stops once P^K exceeds twice the square of
-    the Hadamard bound on det(a) and on every Cramer numerator, so rational
-    reconstruction (Wang, 1981) recovers x over one common denominator.  The
-    result is returned only after a x == b holds exactly on every row, in
-    Python ints; a candidate that fails raises ArithmeticError.  A system
-    that is singular mod LIFT_PRIME (every singular one is) raises
-    ZeroDivisionError.
+    From one float inverse, each step lifts LIFT_BITS more bits of x and
+    keeps a @ lifted == scale * b - residual exact in int64.  Lifting stops
+    once scale exceeds twice the square of the Hadamard bound on det(a) and
+    on every Cramer numerator, times the error a^-1 residual, so rational
+    reconstruction (Wang, 1981) recovers x over one common denominator.
+    The result is returned only after a x == b holds exactly on every row,
+    in Python ints; a candidate that fails raises ArithmeticError.  A
+    singular system raises ZeroDivisionError, and so does one whose float
+    inverse cannot prove a nonsingular or keep a digit or the residual
+    within its bound.
     """
     mat = np.array(a, dtype=np.int64)
-    inverse = _inverse_mod_p(mat)
+    try:
+        inverse = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise ZeroDivisionError("the system is singular") from None
+    # a null vector z of a has (I - inverse @ a) z = z, so a norm below 1 proves a
+    # nonsingular: the second term bounds the product's rounding, the margin to 1
+    # the test's own
+    slop = np.abs(np.eye(len(b)) - inverse @ mat) + (len(b) + 2) * 2.0**-53 * (np.abs(inverse) @ np.abs(mat))
+    if not slop.sum(axis=1).max() < 0.5:
+        raise ZeroDivisionError("the system is singular or too ill-conditioned to lift")
     residual = np.array(b, dtype=np.int64)
     # Hadamard: |det(a)| and every |Cramer numerator| are <= sqrt(sq_bound)
     sq_bound = math.prod((np.square(mat).sum(axis=1) + np.square(residual)).tolist())
-    digits, modulus = [], 1
-    while modulus <= 2 * sq_bound:
-        digit = inverse @ (residual % LIFT_PRIME) % LIFT_PRIME
-        digits.append(digit)
-        residual = (residual - mat @ digit) // LIFT_PRIME  # exact: mat @ digit == residual mod P
-        modulus *= LIFT_PRIME
-    lifted = [0] * len(b)
-    for digit in reversed(digits):
-        lifted = [LIFT_PRIME * x + d for x, d in zip(lifted, digit.tolist())]
+    lifted, scale = [0] * len(b), 1
+    while True:
+        error = inverse @ residual  # scale * x - lifted, as far as the inverse is exact
+        largest = float(np.abs(error).max())
+        if not largest <= DIGIT_BOUND >> LIFT_BITS:
+            raise ZeroDivisionError("a digit passes DIGIT_BOUND: too ill-conditioned to lift")
+        slack = 2 * math.ceil(largest) + 1  # > |scale * x - lifted| for a good inverse
+        if scale > 2 * sq_bound * slack:
+            break
+        digit = np.rint(error * 2.0**LIFT_BITS).astype(np.int64)
+        residual = (residual << LIFT_BITS) - mat @ digit
+        if not np.abs(residual).max() <= RESIDUAL_BOUND:
+            raise ZeroDivisionError("a residual passes RESIDUAL_BOUND: too ill-conditioned to lift")
+        lifted = [(x << LIFT_BITS) + d for x, d in zip(lifted, digit.tolist())]
+        scale <<= LIFT_BITS
     # den grows to the lcm of the entries' denominators, a divisor of det(a),
-    # so every den * x_i is an integer of size <= bound < modulus / 2
-    bound = math.isqrt(sq_bound)
+    # so den * lifted_i lies within den * slack <= bound < scale / 2 of
+    # scale times an integer, the numerator
+    bound = math.isqrt(sq_bound) * slack
     den = 1
     for x in lifted:
-        den *= _reconstructed_denominator(den * x % modulus, modulus, bound)
-    nums = [(den * x + modulus // 2) % modulus - modulus // 2 for x in lifted]
+        den *= _reconstructed_denominator(den * x % scale, scale, bound)
+    nums = [(den * x + scale // 2) // scale for x in lifted]
     if any(sum(map(operator.mul, row, nums)) != den * b_i for row, b_i in zip(a, b)):
-        raise ArithmeticError("the p-adic solution fails a x == b; it is not returned")
+        raise ArithmeticError("the lifted solution fails a x == b; it is not returned")
     return [Fraction(x, den) for x in nums]
-
-
-def _inverse_mod_p(mat: np.ndarray) -> np.ndarray:
-    """mat^-1 mod LIFT_PRIME by Gauss-Jordan elimination of [mat | I] in
-    int64, searching each column for a pivot, so that only a matrix singular
-    mod LIFT_PRIME raises ZeroDivisionError.  Reduction is delayed: a step
-    reduces only its pivot column and row and subtracts products below
-    (P-1)^2, so entries stay above -2^63 (see LIFT_PRIME) until the one
-    reduction of the whole matrix at the end."""
-    n = len(mat)
-    m = np.concatenate([mat % LIFT_PRIME, np.eye(n, dtype=np.int64)], axis=1)
-    for k in range(n):
-        m[:, k] %= LIFT_PRIME
-        candidates = np.flatnonzero(m[k:, k])
-        if not candidates.size:
-            raise ZeroDivisionError(f"the system is singular mod {LIFT_PRIME}")
-        pivot = k + int(candidates[0])
-        if pivot != k:
-            m[[k, pivot]] = m[[pivot, k]]
-        row = m[k, k:] % LIFT_PRIME * pow(int(m[k, k]), -1, LIFT_PRIME) % LIFT_PRIME
-        factors = m[:, k].copy()
-        factors[k] = 0
-        # columns left of k are unit vectors by now, and row k is 0 there
-        m[:, k:] -= np.outer(factors, row)
-        m[k, k:] = row
-    return m[:, n:] % LIFT_PRIME
 
 
 def _reconstructed_denominator(u: int, modulus: int, bound: int) -> int:

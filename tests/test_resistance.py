@@ -21,6 +21,7 @@ from ohmwalk.resistance import (
     total_effective_resistance,
     two_point_resistance,
     two_point_resistance_radical,
+    two_point_resistances,
 )
 from ohmwalk.spectral import (
     eigenvalues_circulant,
@@ -91,6 +92,19 @@ class TestTwoPointResistance:
         r = two_point_resistance(11, 3)
         assert math.gcd(r.numerator, r.denominator) == 1
         assert r.denominator > 0
+
+
+class TestResistanceTable:
+    def test_equals_the_per_distance_route(self):
+        for n in range(5, 402, 2):
+            table = two_point_resistances(n)
+            assert len(table) == (n + 1) // 2 and table[0] == 0
+            assert [table[min(l, n - l)] for l in range(1, n)] == [two_point_resistance(n, l) for l in range(1, n)]
+
+    def test_domain_errors(self):
+        for n in (3, 4, 6):
+            with pytest.raises(ValueError, match="odd and >= 5"):
+                two_point_resistances(n)
 
 
 def _six_power_radical(n, l):
@@ -178,26 +192,29 @@ def _inline_half_sums(n, l):
 class TestHalfSums:
     def test_shared_denominators_change_no_bit(self):
         for n in range(5, 62, 2):
-            denominators = half_sum_denominators(n)
+            denominators, table = half_sum_denominators(n), two_point_resistances(n)
             for l in range(1, n):
                 shared = r_half_sums(n, l, denominators)
                 assert shared == r_half_sums(n, l), (n, l)
+                assert shared == r_half_sums(n, l, denominators, table), (n, l)
                 assert shared[:2] == _inline_half_sums(n, l), (n, l)
 
     def test_check_calls_once_per_distance(self, monkeypatch):
         # perfbench times the resistance.half_sums layer at this binding
         calls = []
 
-        def spy(n, l, denominators=None):
-            calls.append((l, denominators))
-            return r_half_sums(n, l, denominators)
+        def spy(n, l, denominators=None, table=None):
+            calls.append((l, denominators, table))
+            return r_half_sums(n, l, denominators, table)
 
         monkeypatch.setattr(checks, "r_half_sums", spy)
         n = 31
         assert checks.check_half_sums(n, 1e-9).passed
-        assert [l for l, _ in calls] == list(range(1, n))
+        assert [l for l, _, _ in calls] == list(range(1, n))
         assert calls[0][1] == half_sum_denominators(n)
-        assert all(d is calls[0][1] for _, d in calls)
+        assert calls[0][2] == two_point_resistances(n)
+        # one of each per n, shared by every distance
+        assert all(d is calls[0][1] and t is calls[0][2] for _, d, t in calls)
 
     def test_seven(self):
         r1, r2, closed = r_half_sums(7, 1)

@@ -26,7 +26,32 @@ from ohmwalk.spectral import (
 )
 
 
+def _per_jump_eigenvalues(g):
+    # eigenvalues_circulant as it was before its jumps went in blocks, one
+    # pass per jump: the reference
+    n = g.n
+    angles = np.pi * np.arange(n // 2 + 1)
+    half = np.zeros(n // 2 + 1)
+    for j in g.jumps:
+        half += (2.0 if 2 * j == n else 4.0) * np.sin(angles * j / n) ** 2
+    return np.concatenate([half, half[1 : (n + 1) // 2][::-1]]).tolist()
+
+
 class TestEigenvalues:
+    def test_blocks_equal_the_per_jump_passes(self):
+        # the family and K_n past one block of 64 jumps, cycles, a half turn,
+        # and odd jumps only
+        graphs = [
+            *(complete_minus_opposite(n) for n in range(5, 402, 2)),
+            *(complete_graph(n) for n in range(3, 402)),
+            *(cycle_graph(n) for n in range(3, 100)),
+            CirculantGraph(12, (1, 4, 6)),
+            CirculantGraph(300, tuple(range(1, 151, 2))),
+        ]
+        for g in graphs:
+            blocked = eigenvalues_circulant(g).values
+            assert list(map(float.hex, blocked)) == list(map(float.hex, _per_jump_eigenvalues(g))), g.n
+
     def test_cycle_spectrum(self):
         vals = eigenvalues_circulant(cycle_graph(5)).values
         expected = [0.0] + [4 * math.sin(k * math.pi / 5) ** 2 for k in (1, 2, 2, 1)]

@@ -124,7 +124,13 @@ CONTROLS = {
     "exact_resistance_skew": (
         resistance.two_point_resistance,
         scaled(resistance.two_point_resistance, Fraction(10**7 + 1, 10**7)),
-        at_every_n("half_sums", "resistance_oracles", "markov_fpt"),
+        at_every_n("resistance_oracles", "markov_fpt"),
+    ),
+    # the one table per n that half_sums reads R(l) from
+    "resistance_table_skew": (
+        resistance.two_point_resistances,
+        each_shifted(resistance.two_point_resistances, Fraction(1, 10**7)),
+        at_every_n("half_sums"),
     ),
     "radical_resistance_skew": (
         resistance.two_point_resistance_radical,
@@ -157,17 +163,20 @@ CONTROLS = {
         scaled(resistance.total_effective_resistance, Fraction(10**7 + 1, 10**7)),
         at_every_n("eigentime"),
     ),
-    # a fault past the exact check: the only place a wrong answer can leave
+    # two faults in the exact route's lifting solver, under the names they had
+    # when it lifted p-adically.  First, one past its exact check: the only
+    # place a wrong answer can leave
     "padic_wrong_denominator": (
         walks._solve_exact,
         mutant(walks._solve_exact, "Fraction(x, den)", "Fraction(x, den + 1)"),
         at_every_n("markov_fpt"),
     ),
-    # the exact check refuses the candidate, and a check that raises is a
-    # FAIL row, not a crash of the whole suite
+    # every lifted digit subtracted, not added: the exact check refuses the
+    # candidate, and a check that raises is a FAIL row, not a crash of the
+    # whole suite
     "padic_corrupted_digit": (
         walks._solve_exact,
-        mutant(walks._solve_exact, "digits.append(digit)", "digits.append(digit + 1)"),
+        mutant(walks._solve_exact, "(x << LIFT_BITS) + d", "(x << LIFT_BITS) - d"),
         at_every_n("markov_fpt"),
     ),
     # the reflection fold of the exact route, without its mirrored columns
@@ -177,7 +186,8 @@ CONTROLS = {
         at_every_n("markov_fpt"),
     ),
     # R(l) == R(n - l) unfolded in every route's validation: only half_sums
-    # reads a distance above (n-1)/2 through it
+    # reads a distance above (n-1)/2 through it, and past the end of its
+    # table of R(0..(n-1)/2), so the check raises
     "distance_fold_dropped": (
         resistance._validate_pair,
         mutant(resistance._validate_pair, "min(l, n - l)", "l"),
@@ -262,8 +272,8 @@ def test_fault_fails_exactly_its_rows(capsys, monkeypatch, control):
     assert code == 3
     assert out.rstrip().endswith("FAILURES PRESENT")
     assert failed == rows
-    # the one control whose check raises; any other fails on its deviation
-    assert (" raised " in out) == (control == "padic_corrupted_digit")
+    # the controls whose check raises; any other fails on its deviation
+    assert (" raised " in out) == (control in ("padic_corrupted_digit", "distance_fold_dropped"))
 
 
 @pytest.mark.parametrize("control", sorted(c for c in CONTROLS if c.startswith("nan_")))

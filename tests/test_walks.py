@@ -12,10 +12,11 @@ from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opp
 from ohmwalk.exact import SequenceContext, half_index_pair
 from ohmwalk.spectral import spectral_resistance
 from ohmwalk.walks import (
-    FPT_SOLVE_CAP,
-    LIFT_PRIME,
+    DIGIT_BOUND,
+    EXACT_SOLVE_LIMIT,
+    LIFT_BITS,
+    RESIDUAL_BOUND,
     WalkConfig,
-    _inverse_mod_p,
     _solve_exact,
     commute_time_closed,
     fpt_closed,
@@ -313,87 +314,28 @@ def _mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
-def _eager_inverse_mod_p(mat):
-    # the Gauss-Jordan inverse mod LIFT_PRIME as it was before delayed
-    # reduction, with `% P` after every step: the reference
-    n = len(mat)
-    m = np.concatenate([mat % LIFT_PRIME, np.eye(n, dtype=np.int64)], axis=1)
-    for k in range(n):
-        candidates = np.flatnonzero(m[k:, k])
-        if not candidates.size:
-            raise ZeroDivisionError(f"the system is singular mod {LIFT_PRIME}")
-        pivot = k + int(candidates[0])
-        m[[k, pivot]] = m[[pivot, k]]
-        row = m[k, k:] * pow(int(m[k, k]), -1, LIFT_PRIME) % LIFT_PRIME
-        factors = m[:, k].copy()
-        factors[k] = 0
-        m[:, k:] = (m[:, k:] - np.outer(factors, row)) % LIFT_PRIME
-        m[k, k:] = row
-    return m[:, n:]
-
-
-@st.composite
-def residue_matrices(draw):
-    """Square int64 matrices, n <= 60, entries in (-P, P) with P =
-    LIFT_PRIME, a drawn share of them 0; with `swap`, the first entry is 0,
-    so elimination starts with a row swap (or finds the matrix singular)."""
-    n = draw(st.integers(1, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mat = rng.integers(-LIFT_PRIME + 1, LIFT_PRIME, size=(n, n))
-    mat[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
-    if draw(st.booleans()):
-        mat[0, 0] = 0
-    return mat
-
-
-def _inverse_or_singular(inverse, mat):
-    try:
-        return inverse(mat)
-    except ZeroDivisionError:
-        return None
-
-
-class TestInverseModP:
-    @settings(max_examples=60, deadline=None)
-    @given(mat=residue_matrices())
-    def test_delayed_reduction_equals_eager(self, mat):
-        lazy = _inverse_or_singular(_inverse_mod_p, mat)
-        eager = _inverse_or_singular(_eager_inverse_mod_p, mat)
-        if eager is None:
-            assert lazy is None
-        else:
-            assert lazy.dtype == np.int64 and np.array_equal(lazy, eager)
-            assert np.array_equal(lazy @ (mat % LIFT_PRIME) % LIFT_PRIME, np.eye(len(mat)))
-
-    @pytest.mark.parametrize("mat", [[[0, 1], [1, 0]], [[0, 2, 1], [0, 0, 3], [5, 1, 0]]])
-    def test_pivots_below_the_diagonal(self, mat):
-        mat = np.array(mat, dtype=np.int64)
-        assert np.array_equal(_inverse_mod_p(mat), _eager_inverse_mod_p(mat))
-
-    def test_dropping_the_final_reduction_is_caught(self, monkeypatch):
-        n = 25
-        g = complete_minus_opposite(n)
-        mat, _ = _pinned_system(g, 0)
-        faulty = _mutant(_inverse_mod_p, "return m[:, n:] % LIFT_PRIME", "return m[:, n:]")
-        assert not np.array_equal(faulty(mat), _eager_inverse_mod_p(mat))
-        # inside the solver the unreduced entries overflow the lifting
-        # mat-vecs, and the exact certificate refuses the candidate
-        monkeypatch.setattr(walks, "_inverse_mod_p", faulty)
-        with pytest.raises(ArithmeticError, match="it is not returned"):
-            markov_fpt(g, 0)
-
-
 class TestPAdicSolver:
-    def test_prime_keeps_int64_mat_vecs_exact(self):
-        assert all(LIFT_PRIME % d for d in range(2, math.isqrt(LIFT_PRIME) + 1))
-        # mat-vecs of residues, and the delayed reduction of the inverse
-        assert FPT_SOLVE_CAP * (LIFT_PRIME - 1) ** 2 < 2**63
-        assert LIFT_PRIME + FPT_SOLVE_CAP * (LIFT_PRIME - 1) ** 2 < 2**63
+    # the exact route's solver; the class keeps the name it had when that
+    # solver lifted p-adically
+    def test_lift_bounds_keep_int64_mat_vecs_exact(self):
+        # every row of a pinned Laplacian up to EXACT_SOLVE_LIMIT vertices,
+        # folded or not, has absolute sum <= 2(n - 1) < 2^7 ...
+        assert 2 * (EXACT_SOLVE_LIMIT - 1) < 2**7
+        for g in (complete_graph(59), complete_graph(60), complete_minus_opposite(59), cycle_graph(60)):
+            mat, _ = _pinned_system(g, 0)
+            assert np.abs(mat).sum(axis=1).max() <= 2 * (g.n - 1)
+        # ... so a @ digit, residual << LIFT_BITS and their difference fit
+        assert 2**7 * DIGIT_BOUND + (RESIDUAL_BOUND << LIFT_BITS) < 2**63
+        # the digit check, made on the unscaled float error, is exact
+        assert (DIGIT_BOUND >> LIFT_BITS) << LIFT_BITS == DIGIT_BOUND
 
     @settings(max_examples=30, deadline=None)
-    @given(g=connected_circulants(), data=st.data())
-    def test_matches_fraction_elimination(self, g, data):
-        target = data.draw(st.integers(0, g.n - 1))
+    @given(g=connected_circulants(max_n=EXACT_SOLVE_LIMIT), target=st.integers(0, EXACT_SOLVE_LIMIT - 1))
+    # the worst-conditioned systems the exact route takes
+    @example(g=cycle_graph(EXACT_SOLVE_LIMIT - 1), target=0)
+    @example(g=cycle_graph(EXACT_SOLVE_LIMIT), target=7)
+    def test_matches_fraction_elimination(self, g, target):
+        target %= g.n
         assert markov_fpt(g, target) == _old_solve_fpt_exact(g, target, g.degree)
 
     @pytest.mark.parametrize("n", range(5, 60, 2))
@@ -404,19 +346,68 @@ class TestPAdicSolver:
         for target in (0, n // 2, n - 1):
             assert markov_fpt(g, target) == [closed[(v - target) % n] for v in range(n)]
 
-    def test_singular_system_names_the_prime(self):
-        with pytest.raises(ZeroDivisionError, match=f"singular mod {LIFT_PRIME}"):
-            _solve_exact([[1, 1], [1, 1]], [1, 1])
+    def test_singular_systems_raise(self):
+        # consistent and inconsistent; LAPACK inverts `rank_4` without finding
+        # it singular, and the norm test on its float inverse refuses it
+        laplacian = cycle_graph(9).laplacian_dense().tolist()
+        square = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        rank_4 = [[-86, 160, -98, 7, 28], [-90, 99, -112, -59, 6], [-58, 26, -46, -30, 1],
+                  [61, -25, 55, 45, -6], [78, -157, 120, 21, 8]]
+        assert np.linalg.matrix_rank(np.array(rank_4)) == 4
+        np.linalg.inv(np.array(rank_4, dtype=float))
+        for a, b in (([[1, 1], [1, 1]], [1, 1]), (square, [6, 15, 24]), (square, [1, 0, 0]),
+                     (laplacian, [0] * 9), (laplacian, [1] * 9),
+                     (rank_4, [-456, -253, -102, 87, 387]), (rank_4, [1, 0, 0, 0, 0])):
+            with pytest.raises(ZeroDivisionError):
+                _solve_exact(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_random_singular_systems_raise(self, seed, n):
+        # an integer product through n - 1 dimensions, and a right-hand side
+        # in its range or (almost surely) not
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-9, 10, size=(n, n - 1)) @ rng.integers(-9, 10, size=(n - 1, n))
+        for b in (a @ rng.integers(-3, 4, size=n), np.eye(n, dtype=np.int64)[0]):
+            with pytest.raises(ZeroDivisionError):
+                _solve_exact(a.tolist(), b.tolist())
+
+    @pytest.mark.parametrize(
+        "scale, message", [(1 + 1e-3, "RESIDUAL_BOUND"), (1e9, "is singular or"), (math.nan, "is singular or")]
+    )
+    def test_a_poor_float_inverse_raises(self, scale, message, monkeypatch):
+        # an inverse whose residual does not contract, one too far off to prove
+        # a nonsingular and a NaN one all raise before a float is cast to int64
+        mat, rhs = _pinned_system(complete_minus_opposite(25), 0)
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverse(m) * scale)
+        with pytest.raises(ZeroDivisionError, match=message):
+            _solve_exact(mat.tolist(), rhs.tolist())
+
+    def test_a_digit_past_its_bound_raises(self):
+        # |a^-1 b| * 2^LIFT_BITS above DIGIT_BOUND: refused, not cast
+        assert _solve_exact([[1]], [DIGIT_BOUND >> LIFT_BITS]) == [DIGIT_BOUND >> LIFT_BITS]
+        with pytest.raises(ZeroDivisionError, match="DIGIT_BOUND"):
+            _solve_exact([[1]], [2 * DIGIT_BOUND >> LIFT_BITS])
+
+    def test_a_slightly_poor_float_inverse_is_corrected(self, monkeypatch):
+        mat, rhs = _pinned_system(cycle_graph(EXACT_SOLVE_LIMIT), 0)
+        expected = _solve_exact(mat.tolist(), rhs.tolist())
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverse(m) * (1 + 1e-12))
+        assert _solve_exact(mat.tolist(), rhs.tolist()) == expected
 
     @pytest.mark.parametrize(
         "old, new",
         [
-            # the lowest base-P digit of every entry off by one
-            ("digits.append(digit)", "digits.append(digit if digits else digit + 1)"),
+            # the leading digit of every entry off by one
+            ("(x << LIFT_BITS) + d", "(x << LIFT_BITS) + d + (scale == 1)"),
             # a common denominator that is not a multiple of every entry's
             ("den *= _reconstructed_denominator", "den += _reconstructed_denominator"),
+            # numerators truncated, not rounded, from den * lifted / scale
+            ("(den * x + scale // 2) // scale", "den * x // scale"),
         ],
-        ids=["corrupted_digit", "wrong_denominator"],
+        ids=["corrupted_digit", "wrong_denominator", "truncated_numerator"],
     )
     def test_certificate_refuses_a_wrong_candidate(self, old, new):
         n = 25
