@@ -22,9 +22,10 @@ from .exact import resistance_gcd_bound, sequence_pair, sum_bejaia_even, sum_bej
 from .resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
-    half_sum_denominators,
+    half_sum_terms,
     max_or_nan,
     r_half_sums,
+    radical_pass,
     rel_dev,
     resistance_report,
     two_point_resistances,
@@ -80,16 +81,16 @@ def check_power_sums(n: int, tol: float) -> Measured:
 
 def check_half_sums(n: int, tol: float) -> Measured:
     # R(l) from one table per n; resistance_oracles checks the per-l route
-    denominators, table = half_sum_denominators(n), two_point_resistances(n)
-    sums = [r_half_sums(n, l, denominators, table) for l in range(1, n)]
+    terms, table = half_sum_terms(n), two_point_resistances(n)
+    sums = [r_half_sums(n, l, terms, table) for l in range(1, n)]
     dev = max_or_nan([abs(r1 - other) for r1, r2, closed in sums for other in (r2, closed)])
     return Measured(dev, dev <= tol)
 
 
 def check_resistance_oracles(n: int, tol: float) -> Measured:
     # each route gives R(n - l) == R(l) bit for bit; half_sums reads every l
-    spectrum = spectral_resistance(complete_minus_opposite(n))
-    dev = max_or_nan([resistance_report(n, l, spectrum).max_rel_dev for l in range(1, (n - 1) // 2 + 1)])
+    spectrum, radical = spectral_resistance(complete_minus_opposite(n)), radical_pass(n, (n - 1) // 2)
+    dev = max_or_nan([resistance_report(n, l, spectrum, radical).max_rel_dev for l in range(1, (n + 1) // 2)])
     return Measured(dev, dev <= tol)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -40,18 +40,18 @@ class SequenceContext:
     """Parameter context: odd vertex count n >= 5 with radicand d = n(n-4).
 
     d is never a perfect square here since (n-2)**2 - d = 4.  Constructing
-    one is how every layer checks the family domain.
+    one is how every layer checks the family domain.  It remembers the
+    pairs `power_pair` computes for it; only n is in eq, hash and repr.
     """
 
     n: int
+    d: int = field(init=False, repr=False, compare=False)
+    _powers: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 5 or self.n % 2 == 0:
             raise ValueError(f"n must be odd and >= 5, got {self.n}")
-
-    @property
-    def d(self) -> int:
-        return self.n * (self.n - 4)
+        object.__setattr__(self, "d", self.n * (self.n - 4))
 
 
 def sequence_pair(ctx: SequenceContext, upto: int) -> tuple[list[int], list[int]]:
@@ -70,18 +70,21 @@ def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
 
     Squaring maps (B, P) to (B*P, (P**2 + d*B**2)/2), which is P**2 - 2 by
     the norm P**2 - d*B**2 = 4; multiplying by phi maps (B, P) to
-    ((m*B + P)/2, (m*P + d*B)/2) with m = n - 2.
+    ((m*B + P)/2, (m*P + d*B)/2) with m = n - 2.  `ctx` remembers the pair.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return 0, 2
+    if k in ctx._powers:
+        return ctx._powers[k]
     m, d = ctx.n - 2, ctx.d
     b, p = 1, m  # phi, for k's leading bit
     for bit in bin(k)[3:]:
         b, p = b * p, p * p - 2
         if bit == "1":
             b, p = (m * b + p) // 2, (m * p + d * b) // 2
+    ctx._powers[k] = b, p
     return b, p
 
 

@@ -15,19 +15,19 @@ half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
 
 The Kirchhoff index is reduced by a proved small multiple of its gcd
 (`exact.reduce_by`), so no gcd runs on two operands of the size of w_n.
-R(l) still takes the constructor's full-size gcd: reducing it by
-`exact.resistance_gcd_bound` (proved, and asserted by `verify`) takes
-perfbench's exact_large_n repetitions under the 25 ms period of its
-reference sampler, which then finds no sample (see ROADMAP).  Memory
-stays linear in the size of the result.  A second, independent route
-evaluates the same formula through its radical (conjugate-unit) shape in
-stdlib `decimal`, and a third comes from the Laplacian eigenvalue sum
-(`spectral.spectral_resistance`).
+R(l) still takes the constructor's full-size gcd: reduced by the proved
+`exact.resistance_gcd_bound`, perfbench's exact_large_n repetitions drop
+under its reference sampler's 25 ms period (see ROADMAP).  Memory stays
+linear in the size of the result.  Independent routes check it: the
+radical shape in stdlib `decimal` (its l-independent work done once per
+n by `radical_pass`), the Laplacian eigenvalue sum, and the half sums
+(the terms of every l from `half_sum_terms`, each distinct sine once).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from decimal import DivisionByZero, InvalidOperation, Overflow
@@ -55,6 +55,7 @@ def two_point_resistance(n: int, l: int) -> Fraction:
     ctx, l = _validate_pair(n, l)
     b, p = power_pair(ctx, l)
     u, w = half_index_pair(ctx)
+    del ctx  # its memo would hold (B_j, P_j) through the full-size gcd below
     return Fraction(b * (p * w - (n - 4) * u * b), w)
 
 
@@ -65,29 +66,53 @@ def two_point_resistances(n: int) -> list[Fraction]:
     return [Fraction(b * (p * w - (n - 4) * u * b), w) for b, p in zip(*sequence_pair(ctx, (n - 1) // 2))]
 
 
-def two_point_resistance_radical(n: int, l: int) -> float:
+def _radical_context(n: int, l: int) -> Context:
+    """R(l)'s radical shape cancels ~2*l*log10(n) leading digits: that many
+    plus 30, the widest exponent range and every field given, so that
+    neither the caller's context nor `decimal.DefaultContext` reaches it."""
+    return Context(int(2 * l * math.log10(n)) + 30, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, flags=[],
+                   traps=[InvalidOperation, DivisionByZero, Overflow], clamp=0)
+
+
+def _radical_terms(n: int, l: int) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """sqrt(d), (1 - qb^n)/(1 + qb^n), unit**l and qb**l, in the current context."""
+    root = Decimal(n * (n - 4)).sqrt()
+    conj = (n - 2 - root) / 2
+    return root, (1 - conj**n) / (1 + conj**n), ((n - 2 + root) / 2) ** l, conj**l
+
+
+RadicalPass = namedtuple("RadicalPass", "root ratio powers")
+
+
+def radical_pass(n: int, l_max: int) -> RadicalPass:
+    """Root, ratio and powers[l] = (unit**l, qb**l) for l <= l_max, in the context of
+    l_max; each power one multiply from the last, costing ~log10(l_max) guard digits."""
+    SequenceContext(n)
+    with localcontext(_radical_context(n, l_max)):
+        root, ratio, unit, conj = _radical_terms(n, 1)
+        powers = [(Decimal(1), Decimal(1))]
+        for _ in range(l_max):
+            powers.append((powers[-1][0] * unit, powers[-1][1] * conj))
+    return RadicalPass(root, ratio, powers)
+
+
+def two_point_resistance_radical(n: int, l: int, radical: RadicalPass | None = None) -> float:
     """The same closed form evaluated through its radical shape,
 
         B_{2l} - sqrt(d) * B_l^2 * (1 - qb^n) / (1 + qb^n),
 
-    with B's from their conjugate-power expressions (three powers: B_{2l}
-    squares those of B_l) and qb the conjugate unit.  The subtraction
-    cancels ~2*l*log10(n) leading digits, so it runs in a `decimal` context
-    of that many digits plus 30 and the widest exponent range, every field
-    given so that neither the caller's context nor `decimal.DefaultContext`
-    reaches it, and is rounded to a double.
+    with B's from their conjugate-power expressions (B_{2l} squares the
+    powers of B_l) and qb the conjugate unit, in the `decimal` context of l
+    and rounded to a double.  Alone, the route binary-powers; pass
+    `radical_pass(n, l_max)` as `radical` to read, for any l <= l_max, its
+    root, ratio and powers, rounded to the context of l.
     """
     _, l = _validate_pair(n, l)
-    prec = int(2 * l * math.log10(n)) + 30
-    traps = [InvalidOperation, DivisionByZero, Overflow]
-    with localcontext(Context(prec, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, flags=[], traps=traps, clamp=0)):
-        root = Decimal(n * (n - 4)).sqrt()
-        unit_l = ((n - 2 + root) / 2) ** l
-        conj = (n - 2 - root) / 2
-        conj_l, conj_n = conj**l, conj**n
+    with localcontext(_radical_context(n, l)):
+        root, ratio, unit_l, conj_l = _radical_terms(n, l) if radical is None else (
+            +x for x in (radical.root, radical.ratio, *radical.powers[l]))
         b_2l = (unit_l * unit_l - conj_l * conj_l) / root
         b_l = (unit_l - conj_l) / root
-        ratio = (1 - conj_n) / (1 + conj_n)
         return float(b_2l - root * b_l * b_l * ratio)
 
 
@@ -102,29 +127,37 @@ def conjugate_ratio_radical(n: int) -> float:
     return root * (1.0 - q) / (1.0 + q)
 
 
-def half_sum_denominators(n: int) -> tuple[list[float], list[float]]:
-    """`r_half_sums`' l-independent even-mode and odd-mode denominators."""
-    ks = range(1, (n - 1) // 2 + 1)
-    even = [n - 4.0 * math.sin(k * math.pi / n) ** 2 for k in ks]
-    return even, [n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2 for k in ks]
+def half_sum_terms(n: int, l: int | None = None) -> np.ndarray:
+    """`r_half_sums`' terms sin(m*pi/n)**2/den, m = 2kl (even mode) and (2k-1)l
+    (odd mode), k = 1..(n-1)/2: [even, odd] at l, or at every l in [0, n) as
+    [l, mode, k-1].  A term's bits depend only on m, so each distinct m goes
+    through `math.sin` once; numpy's IEEE division has the bits of `/`."""
+    SequenceContext(n)
+    ks = np.arange(1, (n - 1) // 2 + 1)
+    ms = np.multiply.outer(np.arange(n) if l is None else l, [2 * ks, 2 * ks - 1])
+    if l is None:  # every m is below n**2: a table indexed by m
+        seen = np.zeros(n * n, bool)
+        seen[ms] = True
+        terms = np.zeros(n * n)
+        terms[seen] = [math.sin(m * math.pi / n) ** 2 for m in np.flatnonzero(seen).tolist()]
+        terms = terms[ms]
+    else:  # one l's m are distinct
+        terms = np.array([[math.sin(m * math.pi / n) ** 2 for m in row] for row in ms.tolist()])
+    terms /= [[n - 4.0 * math.sin(k * math.pi / n) ** 2 for k in ks.tolist()],
+              [n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2 for k in ks.tolist()]]
+    return terms
 
 
-def r_half_sums(n: int, l: int, denominators: tuple | None = None,
+def r_half_sums(n: int, l: int, terms: np.ndarray | None = None,
                 table: list[Fraction] | None = None) -> tuple[float, float, float]:
     """The even-mode and odd-mode halves of the resistance sum, plus the
     closed-form half R(l)/2.  Both direct trigonometric sums equal R(l)/2;
     they are returned separately so callers can check it.  Pass
-    `half_sum_denominators(n)` as `denominators` and `two_point_resistances(n)`
-    as `table` to reuse them across l; the table is read at the folded l.
+    `half_sum_terms(n)` as `terms` and `two_point_resistances(n)` as `table`
+    to reuse them across l; the table is read at the folded l.
     """
     _, fold = _validate_pair(n, l)
-    even, odd = denominators or half_sum_denominators(n)
-    r1 = (4.0 / n) * sum(
-        math.sin(2 * k * l * math.pi / n) ** 2 / den for k, den in enumerate(even, 1)
-    )
-    r2 = (4.0 / n) * sum(
-        math.sin((2 * k - 1) * l * math.pi / n) ** 2 / den for k, den in enumerate(odd, 1)
-    )
+    r1, r2 = ((4.0 / n) * sum(mode.tolist()) for mode in (half_sum_terms(n, l) if terms is None else terms[l]))
     closed = float(two_point_resistance(n, l) if table is None else table[fold]) / 2.0
     return r1, r2, closed
 
@@ -173,11 +206,12 @@ class ResistanceReport:
     max_rel_dev: float
 
 
-def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None) -> ResistanceReport:
-    """The three routes at (n, l); pass `spectrum`, the graph's
-    `spectral_resistance` array, to reuse it across distances."""
+def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None,
+                      radical: RadicalPass | None = None) -> ResistanceReport:
+    """The three routes at (n, l); pass the graph's `spectral_resistance`
+    array as `spectrum` and a `radical_pass` of n as `radical` to reuse them."""
     exact = two_point_resistance(n, l)
-    closed = two_point_resistance_radical(n, l)
+    closed = two_point_resistance_radical(n, l, radical)
     if spectrum is None:
         spectrum = spectral_resistance(complete_minus_opposite(n))
     spec = float(spectrum[l])

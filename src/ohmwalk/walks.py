@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _walk_np as _kernel
 from .circulant import CirculantGraph
+from .exact import reduce_by
 from .resistance import total_effective_resistance, two_point_resistance
 
 # WalkConfig rejects max_steps at or above this; simulate_fpt clamps below it
@@ -51,7 +52,8 @@ def kernel_backend() -> str:
 def fpt_closed(n: int, l: int) -> Fraction:
     """Expected steps from a vertex to one at circular distance l on the
     complete-minus-opposite graph: |E| * R(l) with |E| = n(n-3)/2."""
-    return n * (n - 3) // 2 * two_point_resistance(n, l)
+    r, edges = two_point_resistance(n, l), n * (n - 3) // 2
+    return reduce_by(edges * r.numerator, r.denominator, edges)  # R(l) is in lowest terms: gcd | |E|
 
 
 def commute_time_closed(n: int, l: int) -> Fraction:

@@ -328,6 +328,25 @@ class TestPowering:
         with pytest.raises(ValueError):
             power_pair(SequenceContext(7), -1)
 
+    @pytest.mark.parametrize("n", [5, 7, 61, 401])
+    def test_remembered_pairs_equal_fresh_ones(self, n):
+        # every k <= 300 computed once into one context, then read back from
+        # it in another order, against a fresh context each and the list
+        ctx = SequenceContext(n)
+        bs, ps = sequence_pair(ctx, 300)
+        assert [power_pair(ctx, k) for k in range(301)] == list(zip(bs, ps))
+        for k in reversed(range(301)):
+            assert power_pair(ctx, k) == power_pair(SequenceContext(n), k) == (bs[k], ps[k]), (n, k)
+
+    def test_memo_is_not_part_of_the_context(self):
+        a, b = SequenceContext(61), SequenceContext(61)
+        power_pair(a, 100)
+        half_index_pair(b)
+        sum_bejaia_even(b, 7)
+        assert a._powers != b._powers
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "SequenceContext(n=61)"
+        assert a != SequenceContext(63) and a.d == 61 * 57
+
     @given(n=ODD_N_TO_401, k=st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
     def test_power_pair_equals_quadratic_ring_powers(self, n, k):

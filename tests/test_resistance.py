@@ -14,9 +14,10 @@ from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
-    half_sum_denominators,
+    half_sum_terms,
     max_or_nan,
     r_half_sums,
+    radical_pass,
     resistance_report,
     total_effective_resistance,
     two_point_resistance,
@@ -42,6 +43,8 @@ from ohmwalk.spectral import (
         lambda n: two_point_resistance_radical(n, 1),
         conjugate_ratio_radical,
         lambda n: r_half_sums(n, 1),
+        half_sum_terms,
+        lambda n: radical_pass(n, 1),
         total_effective_resistance,
         eigentime_identity_check,
     ],
@@ -165,6 +168,16 @@ class TestRadicalRoute:
         monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_FLOOR)
         assert two_point_resistance_radical(101, 50) == expected == float(two_point_resistance(101, 50))
 
+    def test_pass_equals_the_single_route(self):
+        # powers accumulated in the context of the top l, then rounded to
+        # each l's own, against binary powers and the exact value, bit for bit
+        cases = [(n, range(1, n)) for n in range(5, 102, 2)] + [(401, [200]), (1001, [500])]
+        for n, ls in cases:
+            radical = radical_pass(n, (n - 1) // 2)
+            for l in ls:
+                exact = float(two_point_resistance(n, l))
+                assert two_point_resistance_radical(n, l, radical) == two_point_resistance_radical(n, l) == exact, (n, l)
+
     def test_conjugate_ratio_double_precision(self):
         # the rationalized d*B_n/(P_n+2) against the literal radical form
         for n in range(5, 50, 2):
@@ -191,27 +204,30 @@ def _inline_half_sums(n, l):
 
 class TestHalfSums:
     def test_shared_denominators_change_no_bit(self):
-        for n in range(5, 62, 2):
-            denominators, table = half_sum_denominators(n), two_point_resistances(n)
+        # the terms' table, whose sines run once per distinct m, against the
+        # inline sums at every l; and the one-distance route up to n = 61
+        for n in range(5, 202, 2):
+            terms, table = half_sum_terms(n), two_point_resistances(n)
             for l in range(1, n):
-                shared = r_half_sums(n, l, denominators)
-                assert shared == r_half_sums(n, l), (n, l)
-                assert shared == r_half_sums(n, l, denominators, table), (n, l)
+                shared = r_half_sums(n, l, terms, table)
                 assert shared[:2] == _inline_half_sums(n, l), (n, l)
+                assert shared[2] == float(table[min(l, n - l)]) / 2, (n, l)
+                if n <= 61:
+                    assert shared == r_half_sums(n, l) == r_half_sums(n, l, terms), (n, l)
 
     def test_check_calls_once_per_distance(self, monkeypatch):
         # perfbench times the resistance.half_sums layer at this binding
         calls = []
 
-        def spy(n, l, denominators=None, table=None):
-            calls.append((l, denominators, table))
-            return r_half_sums(n, l, denominators, table)
+        def spy(n, l, terms=None, table=None):
+            calls.append((l, terms, table))
+            return r_half_sums(n, l, terms, table)
 
         monkeypatch.setattr(checks, "r_half_sums", spy)
         n = 31
         assert checks.check_half_sums(n, 1e-9).passed
         assert [l for l, _, _ in calls] == list(range(1, n))
-        assert calls[0][1] == half_sum_denominators(n)
+        assert np.array_equal(calls[0][1], half_sum_terms(n))
         assert calls[0][2] == two_point_resistances(n)
         # one of each per n, shared by every distance
         assert all(d is calls[0][1] and t is calls[0][2] for _, d, t in calls)
@@ -306,9 +322,12 @@ class TestReport:
         calls = []
         original = resistance.two_point_resistance_radical
         monkeypatch.setattr(resistance, "two_point_resistance_radical",
-                            lambda n, l: calls.append(l) or original(n, l))
+                            lambda n, l, radical=None: calls.append((l, radical)) or original(n, l, radical))
         assert checks.check_resistance_oracles(n, 1e-9).passed
-        assert calls == list(range(1, (n - 1) // 2 + 1))
+        assert [l for l, _ in calls] == list(range(1, (n - 1) // 2 + 1))
+        # one radical pass per n, shared by every distance
+        assert isinstance(calls[0][1], resistance.RadicalPass)
+        assert all(radical is calls[0][1] for _, radical in calls)
 
     def test_max_or_nan(self):
         assert max_or_nan([0.0, 3e-16, 1e-16]) == 3e-16

@@ -148,6 +148,15 @@ CONTROLS = {
         shifted(exact.sum_bejaia_even, 1),
         at_every_n("sequence_identities"),
     ),
+    # power_pair returns the pair it computed but remembers a wrong one, so
+    # only a second call for the same k in one context sees the fault: the
+    # sequence row's sums and gcd bounds after its first calls were checked,
+    # and two_point_resistance's half-index pair at l = (n - 1)/2
+    "power_memo_corrupted": (
+        exact.power_pair,
+        mutant(exact.power_pair, "ctx._powers[k] = b, p", "ctx._powers[k] = b + 1, p"),
+        at_every_n("sequence_identities", "resistance_oracles", "markov_fpt"),
+    ),
     "conjugate_ratio_skew": (
         exact.conjugate_ratio,
         scaled(exact.conjugate_ratio, Fraction(10**11 + 1, 10**11)),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ohmwalk import _walk_np, _walk_py, checks, walks
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
 from ohmwalk.exact import SequenceContext, half_index_pair
+from ohmwalk.resistance import two_point_resistance
 from ohmwalk.spectral import spectral_resistance
 from ohmwalk.walks import (
     DIGIT_BOUND,
@@ -82,6 +83,15 @@ class TestClosedForms:
         assert fpt_closed(5, 2) == 6
         assert fpt_closed(7, 1) == Fraction(76, 13)
         assert fpt_closed(7, 3) == Fraction(96, 13)
+
+    def test_fpt_equals_the_constructor(self):
+        # |E| * R(l) reduced by |E|, as the constructor reduces it
+        for n in range(5, 62, 2):
+            for l in range(1, n):
+                r, got = two_point_resistance(n, l), fpt_closed(n, l)
+                expected = Fraction(n * (n - 3) // 2 * r.numerator, r.denominator)
+                assert type(got) is Fraction and (got.numerator, got.denominator) == (
+                    expected.numerator, expected.denominator), (n, l)
 
     def test_cycle_fpt_is_l_times_n_minus_l(self):
         for l in range(1, 5):
