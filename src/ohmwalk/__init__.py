@@ -28,12 +28,12 @@ from .resistance import (
     two_point_resistance_radical,
 )
 from .spectral import (
-    EigenSpectrum,
     all_resistances,
     chebyshev_normalized,
     cos_odd_power_sum,
     eigenvalues_circulant,
     eigenvalues_minus_opposite,
+    reciprocal_sum,
     series_identities,
     sin_power_sum,
     spectral_resistance,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirculantGraph",
-    "EigenSpectrum",
     "FptEstimate",
     "ResistanceReport",
     "SequenceContext",
@@ -78,6 +77,7 @@ __all__ = [
     "pisa",
     "pisa_sequence",
     "r_half_sums",
+    "reciprocal_sum",
     "resistance_report",
     "series_identities",
     "simulate_fpt",

@@ -31,6 +31,7 @@ from .resistance import (
     two_point_resistances,
 )
 from .spectral import (
+    chebyshev_normalized,
     cos_odd_power_sum,
     cos_odd_power_sum_direct,
     eigenvalues_circulant,
@@ -58,14 +59,14 @@ Measured = namedtuple("Measured", "max_dev passed detail", defaults=("",))
 def check_sin_identity(n: int, tol: float) -> Measured:
     # 4 * sum_{m<=(n-1)/2} sin^2(k*m*pi/n) == n for every mode k: each nonzero
     # Laplacian eigenvalue of the complete graph K_n, in its sine form, is n
-    dev = max_or_nan([abs(lam - n) for lam in eigenvalues_circulant(complete_graph(n)).values[1:]]) / n
+    dev = max_or_nan([abs(lam - n) for lam in eigenvalues_circulant(complete_graph(n)).tolist()[1:]]) / n
     return Measured(dev, dev <= tol)
 
 
 def check_spectrum(n: int, tol: float) -> Measured:
     g = complete_minus_opposite(n)
-    split = sorted(eigenvalues_minus_opposite(n).values)
-    direct = sorted(eigenvalues_circulant(g).values)
+    split = sorted(eigenvalues_minus_opposite(n).tolist())
+    direct = sorted(eigenvalues_circulant(g).tolist())
     numeric = np.sort(np.linalg.eigvalsh(g.laplacian_dense().astype(float)))
     # sorting moves a NaN but keeps it, so some pair below differs by NaN
     dev = float(max_or_nan([abs(a - b) / n for other in (direct, numeric) for a, b in zip(split, other)]))
@@ -131,6 +132,8 @@ def check_sequence_identities(n: int, tol: float) -> Measured:
         if l >= 1:
             ok &= ps[l] == bs[l + 1] - bs[l - 1]
             ok &= d * bs[l] == ps[l + 1] - ps[l - 1]
+    # the normalized Chebyshev polynomial at n - 2 is the conjugate-power sum
+    ok &= all(chebyshev_normalized(l, n - 2) == ps[2 * l] for l in range(9))
     # running direct sums against the closed forms in `exact`
     sq = 0
     ev = 0

@@ -10,6 +10,7 @@ and is (n-3)-regular.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,7 +25,8 @@ class CirculantGraph:
     jumps: tuple[int, ...]
 
     def __init__(self, n: int, jumps: Iterable[int]):
-        js = tuple(sorted(set(jumps)))
+        # Python ints, as `exact.SequenceContext` stores n: numpy ones break the walk kernel
+        n, js = operator.index(n), tuple(sorted(set(map(operator.index, jumps))))
         if n < 3:
             raise ValueError(f"need at least 3 vertices, got {n}")
         if not js:

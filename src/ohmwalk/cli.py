@@ -18,7 +18,7 @@ from fractions import Fraction
 from .checks import run_suite
 from .circulant import complete_minus_opposite
 from .resistance import resistance_report, total_effective_resistance
-from .spectral import eigenvalues_minus_opposite, rel_dev_from, spectral_resistance
+from .spectral import eigenvalues_minus_opposite, reciprocal_sum, rel_dev_from, spectral_resistance
 from .exact import SequenceContext, bejaia_sequence, decimal_str, pisa_sequence
 from .walks import fpt_closed, mfpt_closed, mfpt_degree, simulate_fpt, z_test_config
 
@@ -88,7 +88,7 @@ def cmd_fpt(args) -> int:
 
 def cmd_mfpt(args) -> int:
     exact = mfpt_closed(args.n, args.variant)
-    oracle = mfpt_degree(args.n, args.variant) * eigenvalues_minus_opposite(args.n).reciprocal_sum()
+    oracle = mfpt_degree(args.n, args.variant) * reciprocal_sum(eigenvalues_minus_opposite(args.n))
     note = "" if args.variant == "corrected" else (
         "the 'paper' variant scales by n-1, but this graph is (n-3)-regular; "
         "the walk-average mean is the 'corrected' value, smaller by (n-3)/(n-1)"
@@ -98,7 +98,7 @@ def cmd_mfpt(args) -> int:
 
 def cmd_total(args) -> int:
     exact = total_effective_resistance(args.n)
-    oracle = args.n * eigenvalues_minus_opposite(args.n).reciprocal_sum()
+    oracle = args.n * reciprocal_sum(eigenvalues_minus_opposite(args.n))
     return _spectral_scalar(args, "total", {"n": args.n}, exact, oracle)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,8 +41,10 @@ class SequenceContext:
     """Parameter context: odd vertex count n >= 5 with radicand d = n(n-4).
 
     d is never a perfect square here since (n-2)**2 - d = 4.  Constructing
-    one is how every layer checks the family domain.  It remembers the
-    pairs `power_pair` computes for it; only n is in eq, hash and repr.
+    one is how every layer checks the family domain.  n is stored as a
+    Python int (`operator.index`), so a numpy integer cannot overflow the
+    big-integer arithmetic and a float is refused.  It remembers the pairs
+    `power_pair` computes for it; only n is in eq, hash and repr.
     """
 
     n: int
@@ -49,6 +52,7 @@ class SequenceContext:
     _powers: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 5 or self.n % 2 == 0:
             raise ValueError(f"n must be odd and >= 5, got {self.n}")
         object.__setattr__(self, "d", self.n * (self.n - 4))

@@ -38,7 +38,7 @@ import numpy as np
 from .circulant import complete_minus_opposite
 # conjugate_ratio is not called here; perfbench/spans.py wraps this binding
 from .exact import SequenceContext, conjugate_ratio, half_index_pair, power_pair, reduce_by, sequence_pair
-from .spectral import eigenvalues_minus_opposite, spectral_resistance
+from .spectral import eigenvalues_minus_opposite, reciprocal_sum, spectral_resistance
 
 
 def _validate_pair(n: int, l: int) -> tuple[SequenceContext, int]:
@@ -53,8 +53,7 @@ def _validate_pair(n: int, l: int) -> tuple[SequenceContext, int]:
 def two_point_resistance(n: int, l: int) -> Fraction:
     """Exact resistance between vertices at circular distance l."""
     ctx, l = _validate_pair(n, l)
-    b, p = power_pair(ctx, l)
-    u, w = half_index_pair(ctx)
+    n, (b, p), (u, w) = ctx.n, power_pair(ctx, l), half_index_pair(ctx)
     del ctx  # its memo would hold (B_j, P_j) through the full-size gcd below
     return Fraction(b * (p * w - (n - 4) * u * b), w)
 
@@ -62,7 +61,7 @@ def two_point_resistance(n: int, l: int) -> Fraction:
 def two_point_resistances(n: int) -> list[Fraction]:
     """[R(0), ..., R((n-1)/2)] from one `sequence_pair`, not a powering per l."""
     ctx = SequenceContext(n)
-    u, w = half_index_pair(ctx)
+    n, (u, w) = ctx.n, half_index_pair(ctx)
     return [Fraction(b * (p * w - (n - 4) * u * b), w) for b, p in zip(*sequence_pair(ctx, (n - 1) // 2))]
 
 
@@ -87,7 +86,7 @@ RadicalPass = namedtuple("RadicalPass", "root ratio powers")
 def radical_pass(n: int, l_max: int) -> RadicalPass:
     """Root, ratio and powers[l] = (unit**l, qb**l) for l <= l_max, in the context of
     l_max; each power one multiply from the last, costing ~log10(l_max) guard digits."""
-    SequenceContext(n)
+    n = SequenceContext(n).n
     with localcontext(_radical_context(n, l_max)):
         root, ratio, unit, conj = _radical_terms(n, 1)
         powers = [(Decimal(1), Decimal(1))]
@@ -107,7 +106,8 @@ def two_point_resistance_radical(n: int, l: int, radical: RadicalPass | None = N
     `radical_pass(n, l_max)` as `radical` to read, for any l <= l_max, its
     root, ratio and powers, rounded to the context of l.
     """
-    _, l = _validate_pair(n, l)
+    ctx, l = _validate_pair(n, l)
+    n = ctx.n
     with localcontext(_radical_context(n, l)):
         root, ratio, unit_l, conj_l = _radical_terms(n, l) if radical is None else (
             +x for x in (radical.root, radical.ratio, *radical.powers[l]))
@@ -120,7 +120,7 @@ def conjugate_ratio_radical(n: int) -> float:
     """sqrt(d)*(1 - qb^n)/(1 + qb^n) naively in double precision, for
     checking the rationalized `exact.conjugate_ratio` against the literal
     radical expression (benign here: no catastrophic cancellation)."""
-    SequenceContext(n)
+    n = SequenceContext(n).n
     root = math.sqrt(n * (n - 4))
     conj = (n - 2 - root) / 2
     q = conj**n
@@ -132,7 +132,7 @@ def half_sum_terms(n: int, l: int | None = None) -> np.ndarray:
     (odd mode), k = 1..(n-1)/2: [even, odd] at l, or at every l in [0, n) as
     [l, mode, k-1].  A term's bits depend only on m, so each distinct m goes
     through `math.sin` once; numpy's IEEE division has the bits of `/`."""
-    SequenceContext(n)
+    n = SequenceContext(n).n
     ks = np.arange(1, (n - 1) // 2 + 1)
     ms = np.multiply.outer(np.arange(n) if l is None else l, [2 * ks, 2 * ks - 1])
     if l is None:  # every m is below n**2: a table indexed by m
@@ -170,14 +170,15 @@ def total_effective_resistance(n: int) -> Fraction:
     which the half-index pair collapses to n*u_n/w_n - 1.  Its gcd,
     gcd(n*u_n, w_n), divides gcd(n, w_n)*gcd(u_n, w_n) and so 2n.
     """
-    u, w = half_index_pair(SequenceContext(n))
+    ctx = SequenceContext(n)
+    n, (u, w) = ctx.n, half_index_pair(ctx)
     return reduce_by(n * u - w, w, 2 * n)
 
 
 def eigentime_identity_check(n: int) -> tuple[float, Fraction]:
     """Both sides of the reciprocal-eigenvalue identity: the spectral sum
     sum_k 1/lambda_k and its exact closed form (= total resistance / n)."""
-    lhs = eigenvalues_minus_opposite(n).reciprocal_sum()
+    lhs = reciprocal_sum(eigenvalues_minus_opposite(n))
     rhs = total_effective_resistance(n) / n
     return lhs, rhs
 

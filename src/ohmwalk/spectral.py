@@ -1,7 +1,9 @@
-"""Double-precision spectral machinery: circulant Laplacian eigenvalues,
-the eigenvalue-sum formula for two-point resistance (every distance from
-one FFT), trigonometric power sums with their congruence corrections,
-normalized Chebyshev evaluation, and truncated-series identities.
+"""Double-precision spectral machinery: circulant Laplacian eigenvalues
+as float64 arrays indexed by Fourier mode, their reciprocal sum, the
+eigenvalue-sum formula for two-point resistance (every distance from one
+FFT), trigonometric power sums with their congruence corrections,
+normalized Chebyshev evaluation, and truncated-series identities reported
+as named tuples.
 
 Exactness lives elsewhere (`exact`, `resistance`); this module is the
 floating-point oracle side.  Binomial coefficients are computed with
@@ -11,7 +13,7 @@ unbounded integers and converted to double only at the last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -20,26 +22,14 @@ from .circulant import CirculantGraph
 from .exact import SequenceContext
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Laplacian eigenvalues indexed by Fourier mode; values[0] == 0 and
-    values[k] == values[n-k] hold exactly by construction."""
-
-    n: int
-    values: tuple[float, ...]
-
-    def reciprocal_sum(self) -> float:
-        """sum of 1/lambda over the nonzero modes."""
-        return sum(1.0 / lam for lam in self.values[1:])
-
-
 def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     """Extend indices 0..n//2 to 0..n-1 by x[n-k] = x[k]."""
     return np.concatenate([half, half[1 : (n + 1) // 2][::-1]])
 
 
-def eigenvalues_circulant(g: CirculantGraph) -> EigenSpectrum:
-    """lambda_k = 4 * sum over jumps j of sin^2(pi*k*j/n).
+def eigenvalues_circulant(g: CirculantGraph) -> np.ndarray:
+    """lambda_k = 4 * sum over jumps j of sin^2(pi*k*j/n), k = 0..n-1;
+    lambda_0 == 0 and lambda_k == lambda_{n-k} hold exactly.
 
     A jump of exactly n/2 (even n) reaches a single vertex, so it carries
     weight 2 instead of 4.  All modes k <= n/2 are evaluated at once, one
@@ -55,23 +45,23 @@ def eigenvalues_circulant(g: CirculantGraph) -> EigenSpectrum:
     for k in range(0, len(jumps), block):
         for row in weights[k : k + block] * np.sin(jumps[k : k + block] * angles / n) ** 2:
             half += row
-    return EigenSpectrum(n, tuple(_mirror(half, n).tolist()))
+    return _mirror(half, n)
 
 
-def eigenvalues_minus_opposite(n: int) -> EigenSpectrum:
+def eigenvalues_minus_opposite(n: int) -> np.ndarray:
     """Spectrum of the complete-minus-opposite-edges graph on odd n from
     the split closed forms: even modes 2k give n - 4sin^2(k*pi/n), odd
-    modes 2k-1 give n - 4cos^2((2k-1)*pi/2n)."""
-    SequenceContext(n)
-    vals = [0.0] * n
-    for m in range(1, (n - 1) // 2 + 1):
-        if m % 2 == 0:
-            lam = n - 4.0 * math.sin(math.pi * (m // 2) / n) ** 2
-        else:
-            lam = n - 4.0 * math.cos(math.pi * m / (2 * n)) ** 2
-        vals[m] = lam
-        vals[n - m] = lam
-    return EigenSpectrum(n, tuple(vals))
+    modes 2k-1 give n - 4cos^2((2k-1)*pi/2n), and mode n-m repeats mode m."""
+    n = SequenceContext(n).n
+    half = [n - 4.0 * (math.cos(math.pi * m / (2 * n)) if m % 2 else math.sin(math.pi * (m // 2) / n)) ** 2
+            for m in range(1, (n - 1) // 2 + 1)]
+    return np.array([0.0, *half, *reversed(half)])
+
+
+def reciprocal_sum(values: np.ndarray) -> float:
+    """sum of 1/lambda over the nonzero modes 1..n-1, added in mode order by
+    the builtin `sum`; numpy's IEEE division has the bits of `/`."""
+    return sum((1.0 / values[1:]).tolist())
 
 
 def all_resistances(g: CirculantGraph) -> np.ndarray:
@@ -90,7 +80,7 @@ def all_resistances(g: CirculantGraph) -> np.ndarray:
     """
     n = g.n
     inv = np.zeros(n)
-    inv[1:] = 1.0 / np.array(eigenvalues_circulant(g).values[1:])
+    inv[1:] = 1.0 / eigenvalues_circulant(g)[1:]
     half = (2.0 / n) * (inv.sum() - np.fft.rfft(inv).real)
     half[0] = 0.0
     return _mirror(half, n)
@@ -151,7 +141,7 @@ def cos_odd_power_sum(n: int, k: int) -> float:
     over 1..(n-1)/2, so the terms are sin^(2k)(j*pi/n): one mirror half
     of `sin_power_sum`.
     """
-    SequenceContext(n)
+    n = SequenceContext(n).n
     return sin_power_sum(n, k) / 2
 
 
@@ -192,34 +182,8 @@ def rel_dev_from(value: float, ref: float) -> float:
     return abs(value - ref) / max(abs(ref), 1e-300)
 
 
-@dataclass(frozen=True)
-class SeriesIdentity:
-    name: str
-    truncated: float
-    closed: float
-    rel_dev: float
-
-
-@dataclass(frozen=True)
-class SeriesReport:
-    n: int
-    truncation: int
-    central_binomial: SeriesIdentity
-    alternating_folded: SeriesIdentity
-    even_folded: SeriesIdentity
-    odd_folded: SeriesIdentity
-
-    def identities(self) -> tuple[SeriesIdentity, ...]:
-        return (
-            self.central_binomial,
-            self.alternating_folded,
-            self.even_folded,
-            self.odd_folded,
-        )
-
-
-def _identity(name: str, truncated: float, closed: float) -> SeriesIdentity:
-    return SeriesIdentity(name, truncated, closed, rel_dev_from(truncated, closed))
+SeriesIdentity = namedtuple("SeriesIdentity", "name truncated closed rel_dev")
+SeriesReport = namedtuple("SeriesReport", "central_binomial alternating_folded even_folded odd_folded")
 
 
 def _folded_rows(n: int, rows: int):
@@ -253,7 +217,7 @@ def series_identities(n: int, truncation: int) -> SeriesReport:
     The folded sums have no known closed form; `_folded_rows` walks them.
     The report only measures: truncation below ~50n shows as large rel_dev.
     """
-    SequenceContext(n)
+    n = SequenceContext(n).n
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
 
@@ -270,16 +234,10 @@ def series_identities(n: int, truncation: int) -> SeriesReport:
             if dead >= 3:
                 break
         npow *= n
-    t_central, t_alt, t_even, t_odd = sums
 
     s = math.sqrt(n / (n - 4))
     q = 2.0 / (n - 2 + math.sqrt(n * (n - 4)))
     qn = q**n
-    return SeriesReport(
-        n=n,
-        truncation=truncation,
-        central_binomial=_identity("central_binomial", t_central, s),
-        alternating_folded=_identity("alternating_folded", t_alt, -s * qn / (1.0 + qn)),
-        even_folded=_identity("even_folded", t_even, s * qn * qn / (1.0 - qn * qn)),
-        odd_folded=_identity("odd_folded", t_odd, s * qn / (1.0 - qn * qn)),
-    )
+    closed = (s, -s * qn / (1.0 + qn), s * qn * qn / (1.0 - qn * qn), s * qn / (1.0 - qn * qn))
+    return SeriesReport(*(SeriesIdentity(name, t, c, rel_dev_from(t, c))
+                          for name, t, c in zip(SeriesReport._fields, sums, closed)))

@@ -52,7 +52,8 @@ def kernel_backend() -> str:
 def fpt_closed(n: int, l: int) -> Fraction:
     """Expected steps from a vertex to one at circular distance l on the
     complete-minus-opposite graph: |E| * R(l) with |E| = n(n-3)/2."""
-    r, edges = two_point_resistance(n, l), n * (n - 3) // 2
+    r, n = two_point_resistance(n, l), operator.index(n)  # a numpy n would overflow |E| * numerator
+    edges = n * (n - 3) // 2
     return reduce_by(edges * r.numerator, r.denominator, edges)  # R(l) is in lowest terms: gcd | |E|
 
 
@@ -74,6 +75,7 @@ def mfpt_closed(n: int, variant: str = "corrected") -> Fraction:
     """Mean first-passage time averaged over all targets (divided by n),
     `mfpt_degree` * Kirchhoff index / n.  variant='corrected' equals (1/n) *
     sum over targets of fpt_closed; 'paper' overstates it by (n-1)/(n-3)."""
+    n = operator.index(n)  # a numpy n would leak into the Fraction arithmetic
     return mfpt_degree(n, variant) * total_effective_resistance(n) / n
 
 
@@ -186,13 +188,18 @@ def _reconstructed_denominator(u: int, modulus: int, bound: int) -> int:
 @dataclass(frozen=True)
 class WalkConfig:
     """Monte Carlo settings.  seed is a 64-bit value; max_steps of None
-    means 100*n^2, resolved per graph at simulation time."""
+    means 100*n^2, resolved per graph at simulation time.  Each field is
+    stored as a Python int (`operator.index`): a numpy integer would
+    overflow the kernel's seed arithmetic or leak into the estimate."""
 
     trials: int
     seed: int = 0
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "max_steps"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -242,7 +249,8 @@ def simulate_fpt(
     splitting the work across calls via `trial_offset` (or any parallel
     schedule) reproduces the one-shot result bit for bit.
     """
-    n = g.n
+    # Python ints: numpy ones overflow the substream seeds or leak into the estimate
+    n, (source, target, trial_offset) = g.n, map(operator.index, (source, target, trial_offset))
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("source and target must be vertices of the graph")
     if source == target:

@@ -19,6 +19,7 @@ from ohmwalk.spectral import (
     eigenvalues_circulant,
     eigenvalues_minus_opposite,
     folded_alternating,
+    reciprocal_sum,
     series_identities,
     sin_power_sum,
     sin_power_sum_direct,
@@ -49,29 +50,29 @@ class TestEigenvalues:
             CirculantGraph(300, tuple(range(1, 151, 2))),
         ]
         for g in graphs:
-            blocked = eigenvalues_circulant(g).values
+            blocked = eigenvalues_circulant(g).tolist()
             assert list(map(float.hex, blocked)) == list(map(float.hex, _per_jump_eigenvalues(g))), g.n
 
     def test_cycle_spectrum(self):
-        vals = eigenvalues_circulant(cycle_graph(5)).values
+        vals = eigenvalues_circulant(cycle_graph(5))
         expected = [0.0] + [4 * math.sin(k * math.pi / 5) ** 2 for k in (1, 2, 2, 1)]
         assert vals == pytest.approx(expected, abs=1e-12)
 
     def test_family_mode_one(self):
-        vals = eigenvalues_circulant(complete_minus_opposite(7)).values
+        vals = eigenvalues_circulant(complete_minus_opposite(7))
         direct = 4 * math.sin(math.pi / 7) ** 2 + 4 * math.sin(2 * math.pi / 7) ** 2
         assert vals[1] == pytest.approx(direct, abs=1e-12)
         assert vals[1] == pytest.approx(7 - 4 * math.sin(3 * math.pi / 7) ** 2, abs=1e-12)
 
     def test_zero_mode_and_mirror_are_exact(self):
         spec = eigenvalues_circulant(CirculantGraph(12, (1, 3, 4)))
-        assert spec.values[0] == 0.0
+        assert spec[0] == 0.0
         for k in range(1, 12):
-            assert spec.values[k] == spec.values[12 - k]
+            assert spec[k] == spec[12 - k]
 
     def test_trace_equals_n_times_degree(self):
         for g in (cycle_graph(9), complete_minus_opposite(11), CirculantGraph(8, (1, 2))):
-            assert sum(eigenvalues_circulant(g).values) == pytest.approx(
+            assert sum(eigenvalues_circulant(g)) == pytest.approx(
                 g.n * g.degree, rel=1e-12
             )
 
@@ -79,24 +80,33 @@ class TestEigenvalues:
         # a jump of n/2 reaches one vertex; the spectrum must still match
         # the dense Laplacian (complete K_6 has lambda = 6 on all modes)
         for g in (complete_graph(6), CirculantGraph(8, (1, 4)), CirculantGraph(10, (2, 5))):
-            formula = np.sort(eigenvalues_circulant(g).values)
+            formula = np.sort(eigenvalues_circulant(g))
             numeric = np.sort(np.linalg.eigvalsh(g.laplacian_dense().astype(float)))
             assert np.max(np.abs(formula - numeric)) < 1e-9
-        k6 = eigenvalues_circulant(complete_graph(6)).values
+        k6 = eigenvalues_circulant(complete_graph(6))
         assert k6[1:] == pytest.approx([6.0] * 5, abs=1e-12)
 
     @pytest.mark.parametrize("n", [5, 7, 9, 25, 101])
     def test_matches_dense_eigensolver(self, n):
         g = complete_minus_opposite(n)
-        formula = np.sort(eigenvalues_circulant(g).values)
+        formula = np.sort(eigenvalues_circulant(g))
         numeric = np.sort(np.linalg.eigvalsh(g.laplacian_dense().astype(float)))
         assert np.max(np.abs(formula - numeric)) < 1e-9
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 25])
     def test_split_form_multiset(self, n):
-        split = sorted(eigenvalues_minus_opposite(n).values)
-        direct = sorted(eigenvalues_circulant(complete_minus_opposite(n)).values)
+        split = sorted(eigenvalues_minus_opposite(n))
+        direct = sorted(eigenvalues_circulant(complete_minus_opposite(n)))
         assert split == pytest.approx(direct, abs=1e-9)
+
+    def test_split_form_equals_the_per_mode_loop(self):
+        # the split closed forms one mode at a time, each written to m and n - m
+        for n in range(5, 402, 2):
+            loop = [0.0] * n
+            for m in range(1, (n - 1) // 2 + 1):
+                x = math.sin(math.pi * (m // 2) / n) if m % 2 == 0 else math.cos(math.pi * m / (2 * n))
+                loop[m] = loop[n - m] = n - 4.0 * x**2
+            assert list(map(float.hex, eigenvalues_minus_opposite(n).tolist())) == list(map(float.hex, loop)), n
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11])
     def test_half_range_sine_identity(self, n):
@@ -110,10 +120,37 @@ class TestEigenvalues:
         # the reference for `verify`'s sin_identity row, which reads lambda_k
         # of K_n: 4 * sum_{m<=(n-1)/2} sin^2(k*m*pi/n), summed term by term
         for n in range(3, 202, 2):
-            values = eigenvalues_circulant(complete_graph(n)).values
+            values = eigenvalues_circulant(complete_graph(n))
             for k in range(1, n):
                 direct = 4.0 * sum(math.sin(k * m * math.pi / n) ** 2 for m in range(1, (n - 1) // 2 + 1))
                 assert abs(values[k] - direct) <= 1e-13 * n, (n, k)
+
+
+def _per_mode_reciprocal_sum(values):
+    # the reciprocal sum as it was while spectra were tuples of floats: one
+    # Python division per mode, added by a generator
+    return sum(1.0 / lam for lam in values.tolist()[1:])
+
+
+class TestReciprocalSum:
+    @pytest.mark.parametrize("spectrum", [
+        eigenvalues_minus_opposite,
+        lambda n: eigenvalues_circulant(complete_minus_opposite(n)),
+    ])
+    def test_equals_the_per_mode_division_bit_for_bit(self, spectrum):
+        for n in range(5, 402, 2):
+            values = spectrum(n)
+            assert float.hex(reciprocal_sum(values)) == float.hex(_per_mode_reciprocal_sum(values)), n
+
+    @pytest.mark.parametrize("n", [30001, 100001])
+    def test_large_n_split_form_bit_for_bit(self, n):
+        values = eigenvalues_minus_opposite(n)
+        assert float.hex(reciprocal_sum(values)) == float.hex(_per_mode_reciprocal_sum(values))
+
+    def test_spectra_are_float64_arrays_over_every_mode(self):
+        for n, values in ((9, eigenvalues_minus_opposite(9)), (12, eigenvalues_circulant(CirculantGraph(12, (1, 6))))):
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (n,)
+        assert type(reciprocal_sum(eigenvalues_minus_opposite(9))) is float
 
 
 class TestSpectralResistance:
@@ -290,7 +327,7 @@ class TestSeriesIdentities:
     def test_all_identities_small_n(self):
         for n in (5, 7):
             report = series_identities(n, 100 * n)
-            assert all(i.rel_dev <= 1e-8 for i in report.identities()), report
+            assert all(i.rel_dev <= 1e-8 for i in report), report
 
     def test_alternating_closed_form_sign(self):
         report = series_identities(5, 500)
@@ -302,7 +339,14 @@ class TestSeriesIdentities:
     def test_too_small_truncation_is_flagged(self):
         report = series_identities(5, 10)
         assert report.central_binomial.rel_dev > 1e-8
-        assert any(i.rel_dev > 1e-8 for i in report.identities())
+        assert any(i.rel_dev > 1e-8 for i in report)
+
+    def test_report_is_four_named_identities_in_field_order(self):
+        report = series_identities(7, 700)
+        assert [i.name for i in report] == list(report._fields) == [
+            "central_binomial", "alternating_folded", "even_folded", "odd_folded"]
+        assert report.even_folded == report[2]
+        assert all(i.rel_dev == abs(i.truncated - i.closed) / abs(i.closed) for i in report)
 
     def test_report_measures_and_does_not_judge(self):
         report = series_identities(5, 10)
@@ -319,7 +363,7 @@ class TestSeriesIdentities:
         expected = _reference_series_sums(n, checkpoints)
         for truncation in checkpoints:
             report = series_identities(n, truncation)
-            got = tuple(i.truncated for i in report.identities())
+            got = tuple(i.truncated for i in report)
             assert got == expected[truncation], (n, truncation)
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
@@ -346,7 +390,7 @@ class TestAllResistances:
             sum((2 if 2 * j == n else 4) * math.sin(math.pi * k * j / n) ** 2 for j in g.jumps)
             for k in range(n)
         ]
-        assert eigenvalues_circulant(g).values == pytest.approx(lam, rel=1e-14, abs=0)
+        assert eigenvalues_circulant(g) == pytest.approx(lam, rel=1e-14, abs=0)
         r = all_resistances(g)
         for l in range(1, n):
             loop = sum(4 * math.sin(math.pi * k * l / n) ** 2 / lam[k] for k in range(1, n)) / n

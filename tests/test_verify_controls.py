@@ -54,26 +54,23 @@ def each_shifted(fn, delta):
 
 
 def skew_first_mode(fn):
-    """`fn`'s spectrum with the first mode and its mirror 1e-6 too large;
-    `fn` may take n or a graph."""
+    """`fn`'s eigenvalue array with the first mode and its mirror 1e-6 too
+    large; `fn` may take n or a graph."""
     def faulty(arg):
-        spectrum = fn(arg)
-        n, values = spectrum.n, list(spectrum.values)
-        values[1] = values[n - 1] = values[1] * (1 + 1e-6)
-        return spectral.EigenSpectrum(n, tuple(values))
+        values = fn(arg).copy()
+        values[[1, -1]] *= 1 + 1e-6
+        return values
     return faulty
 
 
 def nan_mode(fn, mode, applies=lambda arg: True):
-    """`fn`'s spectrum with an interior `mode` and its mirror made NaN,
+    """`fn`'s eigenvalue array with an interior `mode` and its mirror made NaN,
     for the arguments where `applies` holds; `fn` may take n or a graph."""
     def faulty(arg):
-        spectrum = fn(arg)
-        if not applies(arg):
-            return spectrum
-        n, values = spectrum.n, list(spectrum.values)
-        values[mode] = values[n - mode] = math.nan
-        return spectral.EigenSpectrum(n, tuple(values))
+        values = fn(arg).copy()
+        if applies(arg):
+            values[[mode, -mode]] = math.nan
+        return values
     return faulty
 
 
@@ -142,6 +139,12 @@ CONTROLS = {
         exact.bejaia_sequence,
         each_shifted(exact.bejaia_sequence, 1),
         at_every_n("symmetry_identity"),
+    ),
+    # C_2l(n - 2) == P_2l for l <= 8 in the sequence row: C_2 is x^2 - 1, not x^2 - 2
+    "chebyshev_coefficient_wrong": (
+        spectral.chebyshev_normalized,
+        mutant(spectral.chebyshev_normalized, "math.comb(2 * l - k - 1, k - 1)", "math.comb(2 * l - k - 1, k)"),
+        at_every_n("sequence_identities"),
     ),
     "sum_bejaia_even_off_by_one": (
         exact.sum_bejaia_even,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ohmwalk import _walk_np, _walk_py, checks, walks
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
-from ohmwalk.exact import SequenceContext, half_index_pair
-from ohmwalk.resistance import two_point_resistance
-from ohmwalk.spectral import spectral_resistance
+from ohmwalk.exact import SequenceContext, half_index_pair, sequence_pair
+from ohmwalk.resistance import total_effective_resistance, two_point_resistance, two_point_resistance_radical
+from ohmwalk.spectral import series_identities, spectral_resistance
 from ohmwalk.walks import (
     DIGIT_BOUND,
     EXACT_SOLVE_LIMIT,
@@ -492,6 +492,53 @@ class TestWalkConfig:
             WalkConfig(trials=10, seed=2**64)
         with pytest.raises(ValueError):
             WalkConfig(trials=10, max_steps=0)
+
+
+class TestNumpyIntegers:
+    """A numpy integer is stored as the Python int it equals, so the big-integer
+    routes cannot overflow int64 and the estimate holds no numpy scalar."""
+
+    ROUTES = {
+        "total_effective_resistance": total_effective_resistance,
+        "two_point_resistance": lambda n: two_point_resistance(n, n // 3),
+        "two_point_resistance_far_l": lambda n: two_point_resistance(n, n - 2),
+        "fpt_closed": lambda n: fpt_closed(n, n // 3),
+        "mfpt_closed": mfpt_closed,
+        "mfpt_closed_paper": lambda n: mfpt_closed(n, "paper"),
+        "sequence_pair": lambda n: sequence_pair(SequenceContext(n), 40),
+        "two_point_resistance_radical": lambda n: two_point_resistance_radical(n, n // 3),
+        "series_identities": lambda n: series_identities(n, 50),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    @pytest.mark.parametrize("n", [101, 2001])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_routes_equal_their_int_inputs(self, name, n, kind):
+        fn = self.ROUTES[name]
+        with np.errstate(all="raise"):  # an int64 overflow would raise, not warn
+            assert fn(kind(n)) == fn(n)
+
+    def test_simulate_fpt_equals_its_int_inputs(self):
+        cfg = WalkConfig(trials=500, seed=2**63 + 5, max_steps=30)
+        plain = simulate_fpt(complete_minus_opposite(9), 0, 4, cfg, trial_offset=2**62)
+        cfg = WalkConfig(trials=np.int64(500), seed=np.uint64(2**63 + 5), max_steps=np.int32(30))
+        est = simulate_fpt(complete_minus_opposite(np.int64(9)), np.int32(0), np.int64(4), cfg, np.int64(2**62))
+        assert est == plain and plain.truncated > 0
+        assert [type(x) for x in (cfg.trials, cfg.seed, cfg.max_steps)] == [int] * 3
+        assert [type(x) for x in (est.mean, est.stderr, est.trials, est.truncated)] == [float, float, int, int]
+
+    @pytest.mark.parametrize("entry", [
+        SequenceContext,
+        total_effective_resistance,
+        lambda n: two_point_resistance(n, 1),
+        lambda n: fpt_closed(n, 1),
+        mfpt_closed,
+        lambda n: WalkConfig(trials=n),
+        lambda n: CirculantGraph(n, (1,)),
+    ])
+    def test_a_float_is_refused(self, entry):
+        with pytest.raises(TypeError):
+            entry(7.0)
 
 
 class TestSimulate:
