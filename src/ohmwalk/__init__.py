@@ -41,7 +41,6 @@ from .spectral import (
 from .walks import (
     FptEstimate,
     WalkConfig,
-    commute_time_closed,
     fpt_closed,
     kernel_backend,
     markov_fpt,
@@ -61,7 +60,6 @@ __all__ = [
     "bejaia",
     "bejaia_sequence",
     "chebyshev_normalized",
-    "commute_time_closed",
     "complete_graph",
     "complete_minus_opposite",
     "conjugate_ratio",

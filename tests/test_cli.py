@@ -285,12 +285,10 @@ class TestVerify:
                 assert row["passed"] == (row["max_dev"] <= bound), row
         assert code == (0 if all(row["passed"] for row in rows) else 3)
 
-    def test_float_markov_row_passes_exactly_up_to_the_tolerance(self):
-        # n above 60 takes the float route, which `verify --n-max 9` never reaches
-        row = checks.check_markov(61, 1.0)
-        assert row.detail == "float" and row.max_dev > 0
-        assert checks.check_markov(61, row.max_dev).passed
-        assert not checks.check_markov(61, row.max_dev / 2).passed
+    def test_markov_row_is_exact_at_any_tolerance(self):
+        # also above the 60 vertices where it used to be a float row
+        for tol in (0.0, 1e-30, 1.0):
+            assert checks.check_markov(61, tol) == (0.0, True, "exact")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, value):

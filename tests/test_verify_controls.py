@@ -175,26 +175,24 @@ CONTROLS = {
         scaled(resistance.total_effective_resistance, Fraction(10**7 + 1, 10**7)),
         at_every_n("eigentime"),
     ),
-    # two faults in the exact route's lifting solver, under the names they had
-    # when it lifted p-adically.  First, one past its exact check: the only
-    # place a wrong answer can leave
-    "padic_wrong_denominator": (
-        walks._solve_exact,
-        mutant(walks._solve_exact, "Fraction(x, den)", "Fraction(x, den + 1)"),
+    # three faults in markov_fpt's certificate, each of which makes it raise,
+    # and a check that raises is a FAIL row, not a crash of the whole suite.
+    # One candidate numerator off by one, at d = 1 (B_1 == 1)
+    "certificate_term_off_by_one": (
+        walks.markov_fpt,
+        mutant(walks.markov_fpt, "(p + (n - 4) * c) for", "(p + (n - 4) * c) + (b == 1) for"),
         at_every_n("markov_fpt"),
     ),
-    # every lifted digit subtracted, not added: the exact check refuses the
-    # candidate, and a check that raises is a FAIL row, not a crash of the
-    # whole suite
-    "padic_corrupted_digit": (
-        walks._solve_exact,
-        mutant(walks._solve_exact, "(x << LIFT_BITS) + d", "(x << LIFT_BITS) - d"),
+    # the neighbour offset 1 read as (n - 1)/2, which is not a neighbour
+    "certificate_offset_swapped": (
+        walks.markov_fpt,
+        mutant(walks.markov_fpt, ".difference(g.neighbor_offsets())", ".difference([*g.neighbor_offsets()[1:], j])"),
         at_every_n("markov_fpt"),
     ),
-    # the reflection fold of the exact route, without its mirrored columns
+    # the reflection fold of the candidate, without its mirror
     "fold_mirror_dropped": (
         walks.markov_fpt,
-        mutant(walks.markov_fpt, "folded[:, moved] += mat[np.ix_(reps, mirrors[moved])]", "pass"),
+        mutant(walks.markov_fpt, "h = half + half[:0:-1]", "h = half + half[1:]"),
         at_every_n("markov_fpt"),
     ),
     # R(l) == R(n - l) unfolded in every route's validation: only half_sums
@@ -232,12 +230,6 @@ CONTROLS = {
         nan_item(resistance.r_half_sums, 1, lambda n, l, *rest: l == 3),
         at_every_n("half_sums"),
     ),
-    # hitting times in floats, as markov_fpt returns them above EXACT_SOLVE_LIMIT
-    "nan_float_hitting_time": (
-        walks.markov_fpt,
-        nan_item(walks.markov_fpt, 2),
-        at_every_n("markov_fpt"),
-    ),
     # R(2) and R(n - 2) from the one FFT that gives every distance; at n = 5
     # foster reads only R(1) and R(4)
     "nan_spectral_distance": (
@@ -256,6 +248,10 @@ CONTROLS = {
         _walk_np._mix, odd_draws(_walk_np._mix), {("monte_carlo", "7")},
     ),
 }
+
+
+# the controls whose check raises; any other fails on its deviation
+RAISING = {"certificate_term_off_by_one", "certificate_offset_swapped", "fold_mirror_dropped", "distance_fold_dropped"}
 
 
 def failed_rows(capsys):
@@ -284,8 +280,7 @@ def test_fault_fails_exactly_its_rows(capsys, monkeypatch, control):
     assert code == 3
     assert out.rstrip().endswith("FAILURES PRESENT")
     assert failed == rows
-    # the controls whose check raises; any other fails on its deviation
-    assert (" raised " in out) == (control in ("padic_corrupted_digit", "distance_fold_dropped"))
+    assert (" raised " in out) == (control in RAISING)
 
 
 @pytest.mark.parametrize("control", sorted(c for c in CONTROLS if c.startswith("nan_")))
@@ -298,10 +293,11 @@ def test_planted_nan_is_the_deviation(capsys, monkeypatch, control):
 
 
 def test_every_float_row_has_a_nan_control():
-    # symmetry_identity and sequence_identities compare exact integers
+    # symmetry_identity and sequence_identities compare exact integers, and
+    # markov_fpt exact rationals
     nan_rows = {name for control, (_, _, rows) in CONTROLS.items() if control.startswith("nan_")
                 for name, _ in rows}
-    exact_rows = {"symmetry_identity", "sequence_identities"}
+    exact_rows = {"symmetry_identity", "sequence_identities", "markov_fpt"}
     assert nan_rows == {name for name, _, _ in checks.ROWS} - exact_rows
 
 

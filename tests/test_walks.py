@@ -1,5 +1,6 @@
 import inspect
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,8 @@ from ohmwalk.exact import SequenceContext, half_index_pair, sequence_pair
 from ohmwalk.resistance import total_effective_resistance, two_point_resistance, two_point_resistance_radical
 from ohmwalk.spectral import series_identities, spectral_resistance
 from ohmwalk.walks import (
-    DIGIT_BOUND,
-    EXACT_SOLVE_LIMIT,
-    LIFT_BITS,
-    RESIDUAL_BOUND,
+    FPT_SOLVE_CAP,
     WalkConfig,
-    _solve_exact,
-    commute_time_closed,
     fpt_closed,
     kernel_backend,
     markov_fpt,
@@ -98,12 +94,14 @@ class TestClosedForms:
             assert fpt_closed(5, l) == l * (5 - l)
 
     def test_commute_values(self):
-        assert commute_time_closed(5, 1) == 8
-        assert commute_time_closed(7, 1) == Fraction(152, 13)
+        # the commute time is 2|E|R(l) = 2 * fpt_closed
+        assert 2 * fpt_closed(5, 1) == 8
+        assert 2 * fpt_closed(7, 1) == Fraction(152, 13)
 
     def test_commute_is_both_directions(self):
         for n, l in ((7, 2), (9, 4), (11, 5)):
-            assert commute_time_closed(n, l) == fpt_closed(n, l) + fpt_closed(n, n - l)
+            assert 2 * fpt_closed(n, l) == fpt_closed(n, l) + fpt_closed(n, n - l)
+            assert 2 * fpt_closed(n, l) == n * (n - 3) * two_point_resistance(n, l)
 
     def test_mfpt_variants(self):
         assert mfpt_closed(7) == Fraction(72, 13)
@@ -130,8 +128,13 @@ class TestClosedForms:
             assert mfpt_degree(n, "paper") == n - 1
 
 
+def _in_family(g):
+    return g.n % 2 == 1 and g.n >= 5 and g == complete_minus_opposite(g.n)
+
+
 class TestMarkovOracle:
     def test_cycle_hitting_times(self):
+        # the 5-cycle is the family at n = 5
         assert markov_fpt(cycle_graph(5), 0) == [0, 4, 6, 6, 4]
 
     def test_family_values(self):
@@ -141,8 +144,13 @@ class TestMarkovOracle:
         assert h[3] == Fraction(96, 13)
 
     def test_complete_graph_is_uniform(self):
-        h = markov_fpt(complete_graph(7), 0)
-        assert h[1:] == [6] * 6
+        # outside the family: markov_fpt refuses K_7, while the exact
+        # reference and |E| R(l) from the spectrum both give n - 1
+        g = complete_graph(7)
+        with pytest.raises(ValueError, match="complete_minus_opposite"):
+            markov_fpt(g, 0)
+        assert _lifted_fpt(g, 0)[1:] == [6] * 6
+        assert [g.edge_count * spectral_resistance(g, l) for l in range(1, 7)] == pytest.approx([6] * 6, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(5, 26, 2))
     def test_exact_match_with_closed_form(self, n):
@@ -151,12 +159,28 @@ class TestMarkovOracle:
         for l in range(1, n):
             assert h[l] == fpt_closed(n, l)
 
-    def test_float_mode_beyond_exact_limit(self):
-        n = 101
-        h = markov_fpt(complete_minus_opposite(n), 0)
-        assert isinstance(h, np.ndarray)
-        for l in range(1, n):
-            assert h[l] == pytest.approx(float(fpt_closed(n, l)), rel=1e-8)
+    @pytest.mark.parametrize("ns", [range(5, 402, 2), [1001], [2001]], ids=["odd-to-401", "1001", "2001"])
+    def test_equals_fpt_closed_at_every_l(self, ns):
+        # exact at every n, also above the 60 vertices where it used to be a float solve
+        for n in ns:
+            h = markov_fpt(complete_minus_opposite(n), 0)
+            assert all(type(x) is Fraction for x in h)
+            assert h[0] == 0 and all(h[l] == fpt_closed(n, l) for l in range(1, n)), n
+
+    @pytest.mark.parametrize("n", [13, 61, 101, 401, 1001])
+    def test_a_faulted_candidate_term_raises(self, n):
+        # |E| R(5) off by 1/w_n, a low-order error that floats at a tolerance miss
+        faulty = _mutant(markov_fpt, "    total = sum(h)", "    h[5] += 1\n    total = sum(h)")
+        with pytest.raises(ArithmeticError, match="it is not returned"):
+            faulty(complete_minus_opposite(n), 0)
+
+    @pytest.mark.parametrize("n", [13, 61, 101])
+    def test_a_faulted_neighbour_offset_raises(self, n):
+        # the offset 1 read as (n - 1)/2, which is not a neighbour
+        faulty = _mutant(markov_fpt, ".difference(g.neighbor_offsets())",
+                         ".difference([*g.neighbor_offsets()[1:], j])")
+        with pytest.raises(ArithmeticError, match="it is not returned"):
+            faulty(complete_minus_opposite(n), 0)
 
     def test_target_shift_by_transitivity(self):
         g = complete_minus_opposite(9)
@@ -165,11 +189,11 @@ class TestMarkovOracle:
         assert h3[(3 + 1) % 9] == h0[1]
 
     def test_commute_resistance_law(self):
-        # h_{0l} + h_{l0} == 2|E| R(l) on assorted circulants
+        # h_{0l} + h_{l0} == 2|E| R(l) on assorted circulants, by the exact reference
         for g in (CirculantGraph(8, (1, 3)), CirculantGraph(10, (1, 2)), cycle_graph(9)):
-            h0 = markov_fpt(g, 0)
+            h0 = _lifted_fpt(g, 0)
             for l in range(1, g.n):
-                hl = markov_fpt(g, l)
+                hl = _lifted_fpt(g, l)
                 round_trip = float(h0[l] + hl[0])
                 expected = 2 * g.edge_count * spectral_resistance(g, l)
                 assert round_trip == pytest.approx(expected, abs=1e-8)
@@ -180,12 +204,25 @@ class TestMarkovOracle:
             assert sum(h) / n == mfpt_closed(n)
 
     def test_cap_enforced(self, monkeypatch):
-        def no_matrix(self):
-            raise AssertionError("refusal must come before any matrix is built")
+        def no_sequence(*args):
+            raise AssertionError("refusal must come before any sequence is built")
 
-        monkeypatch.setattr(CirculantGraph, "laplacian_dense", no_matrix)
-        with pytest.raises(ValueError, match="solve cap 2048"):
-            markov_fpt(complete_minus_opposite(2049), 0)
+        monkeypatch.setattr(walks, "sequence_pair", no_sequence)
+        with pytest.raises(ValueError, match=f"solve cap {FPT_SOLVE_CAP}"):
+            markov_fpt(complete_minus_opposite(FPT_SOLVE_CAP + 1), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.deferred(lambda: connected_circulants(max_n=60)))
+    @example(g=cycle_graph(6))  # the jumps of the family's formula at an even n
+    @example(g=cycle_graph(3))
+    @example(g=complete_graph(7))
+    @example(g=CirculantGraph(9, (1, 2, 4)))  # the family's jumps and one more
+    def test_other_graphs_are_refused(self, g):
+        if _in_family(g):
+            assert markov_fpt(g, 0)[1] == fpt_closed(g.n, 1)
+        else:
+            with pytest.raises(ValueError, match="complete_minus_opposite"):
+                markov_fpt(g, 0)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
@@ -193,7 +230,7 @@ class TestMarkovOracle:
 
     @pytest.mark.parametrize("n", [5, 21, 59])
     def test_verify_row_reads_half_the_distances(self, n, monkeypatch):
-        # the exact route gives h[n - l] the same value as h[l]
+        # markov_fpt gives h[n - l] the same value as h[l]
         calls = []
         monkeypatch.setattr(checks, "fpt_closed", lambda n, l: calls.append(l) or fpt_closed(n, l))
         row = checks.check_markov(n, 1e-9)
@@ -202,8 +239,8 @@ class TestMarkovOracle:
 
 
 def _old_solve_fpt_exact(g, target, deg):
-    # the neighbour-loop Fraction elimination markov_fpt used before it
-    # shared the pinned Laplacian with the float route: the reference
+    # first-step analysis by Fraction elimination over the neighbour lists,
+    # with no closed form: the reference
     n = g.n
     aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
     for i in range(n):
@@ -229,15 +266,103 @@ def _old_solve_fpt_exact(g, target, deg):
     return sol
 
 
-def _old_solve_fpt_float(g, target):
-    # the float route as it was before the shared system: the reference
-    n = g.n
-    mat = g.laplacian_dense().astype(float)
-    rhs = np.full(n, float(g.degree))
-    mat[target, :] = 0.0
-    mat[target, target] = 1.0
-    rhs[target] = 0.0
-    return np.linalg.solve(mat, rhs)
+# The exact reference for circulants outside the family, which markov_fpt
+# refuses, and fast where Fraction elimination is not: numeric lifting on
+# up to EXACT_SOLVE_LIMIT vertices.  It lifts LIFT_BITS bits a step and
+# raises on a digit above DIGIT_BOUND or a residual above RESIDUAL_BOUND.
+# Rows of a pinned Laplacian on n <= EXACT_SOLVE_LIMIT vertices have
+# absolute sums <= 2(n - 1) < 2^7, so |a @ digit| < 2^62,
+# |residual << LIFT_BITS| <= 2^61 and the next residual stays below 2^63:
+# int64 is exact.
+EXACT_SOLVE_LIMIT = 60
+LIFT_BITS = 30
+DIGIT_BOUND = 2**55
+RESIDUAL_BOUND = 2**31
+
+
+def _solve_exact(a, b):
+    """Solve a x = b over the rationals by numeric lifting (Wan, 2006).
+
+    From one float inverse, each step lifts LIFT_BITS more bits of x and
+    keeps a @ lifted == scale * b - residual exact in int64.  Lifting stops
+    once scale exceeds twice the square of the Hadamard bound on det(a) and
+    on every Cramer numerator, times the error a^-1 residual, so rational
+    reconstruction (Wang, 1981) recovers x over one common denominator.
+    The result is returned only after a x == b holds exactly on every row,
+    in Python ints; a candidate that fails raises ArithmeticError.  A
+    singular system raises ZeroDivisionError, and so does one whose float
+    inverse cannot prove a nonsingular or keep a digit or the residual
+    within its bound.
+    """
+    mat = np.array(a, dtype=np.int64)
+    try:
+        inverse = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise ZeroDivisionError("the system is singular") from None
+    # a null vector z of a has (I - inverse @ a) z = z, so a norm below 1 proves a
+    # nonsingular: the second term bounds the product's rounding, the margin to 1
+    # the test's own
+    slop = np.abs(np.eye(len(b)) - inverse @ mat) + (len(b) + 2) * 2.0**-53 * (np.abs(inverse) @ np.abs(mat))
+    if not slop.sum(axis=1).max() < 0.5:
+        raise ZeroDivisionError("the system is singular or too ill-conditioned to lift")
+    residual = np.array(b, dtype=np.int64)
+    # Hadamard: |det(a)| and every |Cramer numerator| are <= sqrt(sq_bound)
+    sq_bound = math.prod((np.square(mat).sum(axis=1) + np.square(residual)).tolist())
+    lifted, scale = [0] * len(b), 1
+    while True:
+        error = inverse @ residual  # scale * x - lifted, as far as the inverse is exact
+        largest = float(np.abs(error).max())
+        if not largest <= DIGIT_BOUND >> LIFT_BITS:
+            raise ZeroDivisionError("a digit passes DIGIT_BOUND: too ill-conditioned to lift")
+        slack = 2 * math.ceil(largest) + 1  # > |scale * x - lifted| for a good inverse
+        if scale > 2 * sq_bound * slack:
+            break
+        digit = np.rint(error * 2.0**LIFT_BITS).astype(np.int64)
+        residual = (residual << LIFT_BITS) - mat @ digit
+        if not np.abs(residual).max() <= RESIDUAL_BOUND:
+            raise ZeroDivisionError("a residual passes RESIDUAL_BOUND: too ill-conditioned to lift")
+        lifted = [(x << LIFT_BITS) + d for x, d in zip(lifted, digit.tolist())]
+        scale <<= LIFT_BITS
+    # den grows to the lcm of the entries' denominators, a divisor of det(a),
+    # so den * lifted_i lies within den * slack <= bound < scale / 2 of
+    # scale times an integer, the numerator
+    bound = math.isqrt(sq_bound) * slack
+    den = 1
+    for x in lifted:
+        den *= _reconstructed_denominator(den * x % scale, scale, bound)
+    nums = [(den * x + scale // 2) // scale for x in lifted]
+    if any(sum(map(operator.mul, row, nums)) != den * b_i for row, b_i in zip(a, b)):
+        raise ArithmeticError("the lifted solution fails a x == b; it is not returned")
+    return [Fraction(x, den) for x in nums]
+
+
+def _reconstructed_denominator(u, modulus, bound):
+    """The denominator q of the fraction r/q == u mod `modulus` with
+    |r| <= bound, by the extended Euclidean remainder sequence (Wang)."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return abs(t1)
+
+
+def _pinned_system(g, target):
+    """The Laplacian system of first-step analysis, (deg*I - A) h = deg*1,
+    with the target row pinned to h = 0."""
+    mat = g.laplacian_dense()
+    mat[target] = 0
+    mat[target, target] = 1
+    rhs = np.full(g.n, g.degree)
+    rhs[target] = 0
+    return mat, rhs
+
+
+def _lifted_fpt(g, target):
+    """Hitting times to `target` on any circulant of up to EXACT_SOLVE_LIMIT
+    vertices, by `_solve_exact` on the whole pinned system."""
+    mat, rhs = _pinned_system(g, target)
+    return _solve_exact(mat.tolist(), rhs.tolist())
 
 
 EXACT_ROUTE_GRAPHS = [complete_minus_opposite(n) for n in (*range(5, 26, 2), 41, 59)] + [
@@ -251,19 +376,13 @@ EXACT_ROUTE_GRAPHS = [complete_minus_opposite(n) for n in (*range(5, 26, 2), 41,
 class TestSharedSystem:
     @pytest.mark.parametrize("g", EXACT_ROUTE_GRAPHS, ids=lambda g: f"n{g.n}-deg{g.degree}")
     def test_exact_route_equals_fraction_elimination(self, g):
+        # markov_fpt on the family, the lifting reference on the other circulants
+        route = markov_fpt if _in_family(g) else _lifted_fpt
         for target in (0, g.n // 2, g.n - 1):
-            h = markov_fpt(g, target)
+            h = route(g, target)
             assert isinstance(h, list)
             assert all(type(x) is Fraction for x in h)
             assert h == _old_solve_fpt_exact(g, target, g.degree)
-
-    @pytest.mark.parametrize("n", [61, 101, 2047])
-    def test_float_route_is_bit_identical(self, n):
-        g = complete_minus_opposite(n)
-        for target in (0, n // 2):
-            h = markov_fpt(g, target)
-            assert isinstance(h, np.ndarray)
-            assert np.array_equal(h, _old_solve_fpt_float(g, target))
 
     def test_zero_pivot_raises(self):
         # a singular system cannot come back as a wrong answer
@@ -283,36 +402,16 @@ def connected_circulants(draw, max_n=60):
     return CirculantGraph(n, jumps)
 
 
-def _pinned_system(g, target):
-    """The Laplacian system with the target row pinned to h = 0, as
-    `markov_fpt` builds it."""
-    mat = g.laplacian_dense()
-    mat[target] = 0
-    mat[target, target] = 1
-    rhs = np.full(g.n, g.degree)
-    rhs[target] = 0
-    return mat, rhs
-
-
-def _unfolded_markov_fpt(g, target):
-    # markov_fpt's exact route before the reflection fold, solving the whole
-    # pinned system: the reference
-    mat, rhs = _pinned_system(g, target)
-    return _solve_exact(mat.tolist(), rhs.tolist())
-
-
 class TestReflectionFold:
-    @settings(max_examples=25, deadline=None)
-    @given(g=connected_circulants(max_n=40))
-    @example(g=cycle_graph(3))
-    @example(g=CirculantGraph(4, (1, 2)))
-    @example(g=CirculantGraph(12, (1, 4, 6)))
-    @example(g=CirculantGraph(40, (3, 20)))
-    def test_equals_the_unfolded_solve_at_every_target(self, g):
-        for target in range(g.n):
-            h = markov_fpt(g, target)
-            assert all(type(x) is Fraction for x in h)
-            assert h == _unfolded_markov_fpt(g, target)
+    def test_equals_the_unfolded_solve_at_every_target(self):
+        # the certificate reads the equations at distances 1..(n-1)/2 from the
+        # target and mirrors: against the whole system, by elimination
+        for n in range(5, 26, 2):
+            g = complete_minus_opposite(n)
+            for target in range(n):
+                h = markov_fpt(g, target)
+                assert all(type(x) is Fraction for x in h)
+                assert h == _old_solve_fpt_exact(g, target, g.degree), (n, target)
 
 
 def _mutant(fn, old, new):
@@ -325,11 +424,11 @@ def _mutant(fn, old, new):
 
 
 class TestPAdicSolver:
-    # the exact route's solver; the class keeps the name it had when that
-    # solver lifted p-adically
+    # the exact reference's solver and markov_fpt at several targets; the
+    # class keeps the name it had when that solver lifted p-adically
     def test_lift_bounds_keep_int64_mat_vecs_exact(self):
-        # every row of a pinned Laplacian up to EXACT_SOLVE_LIMIT vertices,
-        # folded or not, has absolute sum <= 2(n - 1) < 2^7 ...
+        # every row of a pinned Laplacian up to EXACT_SOLVE_LIMIT vertices
+        # has absolute sum <= 2(n - 1) < 2^7 ...
         assert 2 * (EXACT_SOLVE_LIMIT - 1) < 2**7
         for g in (complete_graph(59), complete_graph(60), complete_minus_opposite(59), cycle_graph(60)):
             mat, _ = _pinned_system(g, 0)
@@ -341,12 +440,12 @@ class TestPAdicSolver:
 
     @settings(max_examples=30, deadline=None)
     @given(g=connected_circulants(max_n=EXACT_SOLVE_LIMIT), target=st.integers(0, EXACT_SOLVE_LIMIT - 1))
-    # the worst-conditioned systems the exact route takes
+    # the worst-conditioned systems the reference takes
     @example(g=cycle_graph(EXACT_SOLVE_LIMIT - 1), target=0)
     @example(g=cycle_graph(EXACT_SOLVE_LIMIT), target=7)
     def test_matches_fraction_elimination(self, g, target):
         target %= g.n
-        assert markov_fpt(g, target) == _old_solve_fpt_exact(g, target, g.degree)
+        assert _lifted_fpt(g, target) == _old_solve_fpt_exact(g, target, g.degree)
 
     @pytest.mark.parametrize("n", range(5, 60, 2))
     def test_family_at_three_targets(self, n):
@@ -428,9 +527,10 @@ class TestPAdicSolver:
             faulty(mat.tolist(), rhs.tolist())
 
 
-# The exact route stops at EXACT_SOLVE_LIMIT vertices.  Above it, first-step
-# analysis is still checked exactly, modulo a prime P, by an elimination that
-# uses no closed form.  Residues stay below 2^31, so products stay below 2^62.
+# The lifting reference stops at EXACT_SOLVE_LIMIT vertices.  Above it,
+# first-step analysis is also checked modulo a prime P, by an elimination that
+# uses neither the closed form nor the certificate.  Residues stay below 2^31,
+# so products stay below 2^62.
 P = 2**31 - 1
 
 
@@ -451,7 +551,7 @@ def _solve_mod_p(a, b):
 
 def _first_step_mod_p(g):
     """Hitting times to vertex 0, mod P, from the pinned Laplacian system
-    that `markov_fpt` solves."""
+    whose solution `markov_fpt` certifies."""
     return _solve_mod_p(*_pinned_system(g, 0))
 
 
