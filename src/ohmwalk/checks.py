@@ -27,8 +27,8 @@ from .resistance import (
     r_half_sums,
     radical_pass,
     rel_dev,
+    resistance_numerators,
     resistance_report,
-    two_point_resistances,
 )
 from .spectral import (
     chebyshev_normalized,
@@ -81,9 +81,9 @@ def check_power_sums(n: int, tol: float) -> Measured:
 
 
 def check_half_sums(n: int, tol: float) -> Measured:
-    # R(l) from one table per n; resistance_oracles checks the per-l route
-    terms, table = half_sum_terms(n), two_point_resistances(n)
-    sums = [r_half_sums(n, l, terms, table) for l in range(1, n)]
+    # R(l)/2 from one table per n, as float(R(l)) / 2; resistance_oracles checks the per-l route
+    terms, (xs, w) = half_sum_terms(n), resistance_numerators(n)
+    sums = [(*r_half_sums(n, l, terms), xs[min(l, n - l)] / w / 2.0) for l in range(1, n)]
     dev = max_or_nan([abs(r1 - other) for r1, r2, closed in sums for other in (r2, closed)])
     return Measured(dev, dev <= tol)
 

@@ -13,6 +13,9 @@ half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
     R(l) = B_l * (P_l*w_n - (n-4)*u_n*B_l) / w_n,
     Kirchhoff index = n*u_n/w_n - 1.
 
+`resistance_numerators` gives every R(d) = 2*B_d*w_{n-2d}/w_n over w_n from one
+`sequence_pair`: the one table that `walks.markov_fpt` certifies and `half_sums` reads.
+
 The Kirchhoff index is reduced by a proved small multiple of its gcd
 (`exact.reduce_by`), so no gcd runs on two operands of the size of w_n.
 R(l) still takes the constructor's full-size gcd: reduced by the proved
@@ -58,11 +61,13 @@ def two_point_resistance(n: int, l: int) -> Fraction:
     return Fraction(b * (p * w - (n - 4) * u * b), w)
 
 
-def two_point_resistances(n: int) -> list[Fraction]:
-    """[R(0), ..., R((n-1)/2)] from one `sequence_pair`, not a powering per l."""
+def resistance_numerators(n: int) -> tuple[list[int], int]:
+    """xs[d] = R(d)*w_n = 2*B_d*w_{n-2d} = B_d*(P_{j-d} + (n-4)*B_{j-d}) at d = 0..j = (n-1)/2,
+    and w_n, from one `sequence_pair`, not a powering per d."""
     ctx = SequenceContext(n)
-    n, (u, w) = ctx.n, half_index_pair(ctx)
-    return [Fraction(b * (p * w - (n - 4) * u * b), w) for b, p in zip(*sequence_pair(ctx, (n - 1) // 2))]
+    n, j = ctx.n, (ctx.n - 1) // 2
+    bs, ps = sequence_pair(ctx, j)
+    return [b * (p + (n - 4) * c) for b, p, c in zip(bs, ps[::-1], bs[::-1])], (ps[j] + (n - 4) * bs[j]) // 2
 
 
 def _radical_context(n: int, l: int) -> Context:
@@ -148,18 +153,14 @@ def half_sum_terms(n: int, l: int | None = None) -> np.ndarray:
     return terms
 
 
-def r_half_sums(n: int, l: int, terms: np.ndarray | None = None,
-                table: list[Fraction] | None = None) -> tuple[float, float, float]:
-    """The even-mode and odd-mode halves of the resistance sum, plus the
-    closed-form half R(l)/2.  Both direct trigonometric sums equal R(l)/2;
-    they are returned separately so callers can check it.  Pass
-    `half_sum_terms(n)` as `terms` and `two_point_resistances(n)` as `table`
-    to reuse them across l; the table is read at the folded l.
+def r_half_sums(n: int, l: int, terms: np.ndarray | None = None) -> tuple[float, float]:
+    """The even-mode and odd-mode halves of the resistance sum.  Both direct
+    trigonometric sums equal R(l)/2; they are returned separately so callers
+    can check it.  Pass `half_sum_terms(n)` as `terms` to reuse it across l.
     """
-    _, fold = _validate_pair(n, l)
+    _validate_pair(n, l)
     r1, r2 = ((4.0 / n) * sum(mode.tolist()) for mode in (half_sum_terms(n, l) if terms is None else terms[l]))
-    closed = float(two_point_resistance(n, l) if table is None else table[fold]) / 2.0
-    return r1, r2, closed
+    return r1, r2
 
 
 def total_effective_resistance(n: int) -> Fraction:

@@ -2,10 +2,10 @@
 and mean-first-passage times for the complete-minus-opposite family, a
 first-step-analysis oracle, and a seeded Monte Carlo simulator.
 
-The oracle certifies instead of solving: it forms |E| * R(d) at every
-distance d over one common denominator, from one `exact.sequence_pair`,
-and returns it only after the first-step equations hold exactly, in O(n)
-big-int operations at every n.
+The oracle certifies instead of solving: it scales
+`resistance.resistance_numerators`, R(d) at every distance d over one
+common denominator, by |E| and returns it only after the first-step
+equations hold exactly, in O(n) big-int operations at every n.
 
 The simulator runs `_walk_np`, a refilled pool of trials in numpy lockstep
 that hands its last few trials to the pure-Python spec `_walk_py`.  Every
@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from . import _walk_np as _kernel
 from .circulant import CirculantGraph
-from .exact import SequenceContext, reduce_by, sequence_pair
-from .resistance import total_effective_resistance, two_point_resistance
+from .exact import reduce_by
+from .resistance import resistance_numerators, total_effective_resistance, two_point_resistance
 
 # WalkConfig rejects max_steps at or above this; simulate_fpt clamps below it
 _MAX_STEPS_LIMIT = 2**31
@@ -66,20 +66,20 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
         h[target] = 0,    h[i] = 1 + (1/deg) * sum over neighbors j of h[j],
 
     on `complete_minus_opposite(n)`, certified instead of solved.  The
-    candidate at distance d from the target is |E| * R(d), with R(d) =
-    2*B_d*w_{n-2d}/w_n over the common denominator w_n (see `exact`), and
-    it is returned only after it satisfies every equation exactly: the
-    pinned Laplacian of a connected graph is nonsingular, so it is then
-    the solution (Kemeny and Snell, Finite Markov Chains, 6.3), and the
+    candidate at distance d from the target is |E| * R(d), with R(d) read
+    over the common denominator w_n from `resistance_numerators`, and it is
+    returned only after it satisfies every equation exactly: the pinned
+    Laplacian of a connected graph is nonsingular, so it is then the
+    solution (Kemeny and Snell, Finite Markov Chains, 6.3), and the
     check is a certificate (McConnell, Mehlhorn, Naeher and Schweitzer,
     "Certifying algorithms", Comput. Sci. Rev. 5, 2011).  A candidate that
     fails raises ArithmeticError.  Any other graph, and a graph above
     FPT_SOLVE_CAP vertices, is refused.
 
-    The reflection v -> 2*target - v maps the graph to itself and fixes
-    the target, so h[target + d] == h[target - d] and the equations at
-    d = 1..(n-1)/2 are all of them.  Each costs O(1) big-int operations:
-    the neighbour sum is the whole sum less h(d) and the two non-neighbours.
+    The reflection v -> 2*target - v fixes the graph and the target, so
+    h[target + d] == h[target - d]: the pin and the equations at d = 1..(n-1)/2
+    are all of them, each O(1) big-int operations (the neighbour sum is the
+    whole sum less h(d) and the two non-neighbours).
     """
     n = g.n
     if not 0 <= target < n:
@@ -89,14 +89,13 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     j = (n - 1) // 2
     if n % 2 == 0 or g.jumps != tuple(range(1, j)):
         raise ValueError(f"first-step analysis is certified on complete_minus_opposite(n) only, got C_{n}{g.jumps}")
-    bs, ps = sequence_pair(SequenceContext(n), j)
-    deg, edges, w = g.degree, g.edge_count, (ps[j] + (n - 4) * bs[j]) // 2
-    # numerators over w_n at d = 0..j, where 2*w_{n-2d} = P_{j-d} + (n-4)*B_{j-d}
-    half = [edges * b * (p + (n - 4) * c) for b, p, c in zip(bs, ps[::-1], bs[::-1])]
+    deg, edges, (xs, w) = g.degree, g.edge_count, resistance_numerators(n)
+    half = [edges * x for x in xs]  # numerators over w_n at d = 0..j
     h = half + half[:0:-1]  # distances 0..n-1 from the target
     total = sum(h)
     others = set(range(1, n)).difference(g.neighbor_offsets())
-    if any(deg * h[d] - (total - h[d] - sum(h[(d + o) % n] for o in others)) != deg * w for d in range(1, j + 1)):
+    if h[0] or any(deg * h[d] - (total - h[d] - sum(h[(d + o) % n] for o in others)) != deg * w
+                   for d in range(1, j + 1)):
         raise ArithmeticError("the candidate fails a first-step equation; it is not returned")
     values = [Fraction(x, w) for x in half]
     return [values[min(k, n - k)] for k in ((v - target) % n for v in range(n))]

@@ -18,11 +18,11 @@ from ohmwalk.resistance import (
     max_or_nan,
     r_half_sums,
     radical_pass,
+    resistance_numerators,
     resistance_report,
     total_effective_resistance,
     two_point_resistance,
     two_point_resistance_radical,
-    two_point_resistances,
 )
 from ohmwalk.spectral import (
     eigenvalues_circulant,
@@ -98,17 +98,36 @@ class TestTwoPointResistance:
         assert r.denominator > 0
 
 
+def _table_against_the_per_distance_route(n):
+    # R(d) * w_n at every distance from one sequence pass against the per-d
+    # powering route: the value, and the bits check_half_sums reads as R(d)/2
+    xs, w = resistance_numerators(n)
+    assert len(xs) == (n + 1) // 2 and xs[0] == 0
+    for d in range(1, len(xs)):
+        exact = two_point_resistance(n, d)
+        assert Fraction(xs[d], w) == exact, (n, d)
+        assert xs[d] / w / 2.0 == float(exact) / 2, (n, d)
+
+
 class TestResistanceTable:
     def test_equals_the_per_distance_route(self):
         for n in range(5, 402, 2):
-            table = two_point_resistances(n)
-            assert len(table) == (n + 1) // 2 and table[0] == 0
-            assert [table[min(l, n - l)] for l in range(1, n)] == [two_point_resistance(n, l) for l in range(1, n)]
+            _table_against_the_per_distance_route(n)
+
+    @pytest.mark.parametrize("n", [1001, 2001])
+    def test_equals_the_per_distance_route_at_large_n(self, n):
+        _table_against_the_per_distance_route(n)
+
+    def test_kirchhoff_index_is_n_times_the_half_table(self):
+        # the Kirchhoff index sums R over all pairs: n times R(1..(n-1)/2)
+        for n in range(5, 402, 2):
+            xs, w = resistance_numerators(n)
+            assert total_effective_resistance(n) == n * Fraction(sum(xs), w), n
 
     def test_domain_errors(self):
         for n in (3, 4, 6):
             with pytest.raises(ValueError, match="odd and >= 5"):
-                two_point_resistances(n)
+                resistance_numerators(n)
 
 
 def _six_power_radical(n, l):
@@ -208,45 +227,45 @@ class TestHalfSums:
         # the terms' table, whose sines run once per distinct m, against the
         # inline sums at every l; and the one-distance route up to n = 61
         for n in range(5, 202, 2):
-            terms, table = half_sum_terms(n), two_point_resistances(n)
+            terms = half_sum_terms(n)
             for l in range(1, n):
-                shared = r_half_sums(n, l, terms, table)
-                assert shared[:2] == _inline_half_sums(n, l), (n, l)
-                assert shared[2] == float(table[min(l, n - l)]) / 2, (n, l)
+                shared = r_half_sums(n, l, terms)
+                assert shared == _inline_half_sums(n, l), (n, l)
                 if n <= 61:
-                    assert shared == r_half_sums(n, l) == r_half_sums(n, l, terms), (n, l)
+                    assert shared == r_half_sums(n, l), (n, l)
 
     def test_check_calls_once_per_distance(self, monkeypatch):
         # perfbench times the resistance.half_sums layer at this binding
         calls = []
 
-        def spy(n, l, terms=None, table=None):
-            calls.append((l, terms, table))
-            return r_half_sums(n, l, terms, table)
+        def spy(n, l, terms=None):
+            calls.append((l, terms))
+            return r_half_sums(n, l, terms)
 
         monkeypatch.setattr(checks, "r_half_sums", spy)
         n = 31
         assert checks.check_half_sums(n, 1e-9).passed
-        assert [l for l, _, _ in calls] == list(range(1, n))
+        assert [l for l, _ in calls] == list(range(1, n))
         assert np.array_equal(calls[0][1], half_sum_terms(n))
-        assert calls[0][2] == two_point_resistances(n)
-        # one of each per n, shared by every distance
-        assert all(d is calls[0][1] and t is calls[0][2] for _, d, t in calls)
+        # one table of terms per n, shared by every distance
+        assert all(t is calls[0][1] for _, t in calls)
 
     def test_seven(self):
-        r1, r2, closed = r_half_sums(7, 1)
+        r1, r2 = r_half_sums(7, 1)
+        closed = float(two_point_resistance(7, 1)) / 2
         assert r1 == pytest.approx(19 / 91, rel=1e-12)
         assert abs(r1 - r2) < 1e-14
         assert abs(r1 - closed) < 1e-14
 
     def test_five(self):
-        r1, r2, closed = r_half_sums(5, 2)
+        r1, r2 = r_half_sums(5, 2)
         assert r1 == pytest.approx(0.6, abs=1e-12)
         assert r2 == pytest.approx(0.6, abs=1e-12)
 
     def test_nine_all_distances(self):
         for l in range(1, 9):
-            r1, r2, closed = r_half_sums(9, l)
+            r1, r2 = r_half_sums(9, l)
+            closed = float(two_point_resistance(9, l)) / 2
             assert abs(r1 - r2) < 1e-10
             assert abs(r1 - closed) < 1e-9
 

@@ -53,6 +53,14 @@ def each_shifted(fn, delta):
     return lambda *args: [x + delta for x in fn(*args)]
 
 
+def table_shifted(fn, denominator):
+    """`fn`'s table of numerators over w with every R(d) 1/denominator too large."""
+    def faulty(*args):
+        xs, w = fn(*args)
+        return [x * denominator + w for x in xs], w * denominator
+    return faulty
+
+
 def skew_first_mode(fn):
     """`fn`'s eigenvalue array with the first mode and its mirror 1e-6 too
     large; `fn` may take n or a graph."""
@@ -123,11 +131,12 @@ CONTROLS = {
         scaled(resistance.two_point_resistance, Fraction(10**7 + 1, 10**7)),
         at_every_n("resistance_oracles", "markov_fpt"),
     ),
-    # the one table per n that half_sums reads R(l) from
+    # the one table per n that half_sums reads R(l)/2 from and markov_fpt
+    # certifies: the certificate refuses it at h(target) != 0
     "resistance_table_skew": (
-        resistance.two_point_resistances,
-        each_shifted(resistance.two_point_resistances, Fraction(1, 10**7)),
-        at_every_n("half_sums"),
+        resistance.resistance_numerators,
+        table_shifted(resistance.resistance_numerators, 10**7),
+        at_every_n("half_sums", "markov_fpt"),
     ),
     "radical_resistance_skew": (
         resistance.two_point_resistance_radical,
@@ -177,10 +186,10 @@ CONTROLS = {
     ),
     # three faults in markov_fpt's certificate, each of which makes it raise,
     # and a check that raises is a FAIL row, not a crash of the whole suite.
-    # One candidate numerator off by one, at d = 1 (B_1 == 1)
+    # One candidate numerator off by one, at d = 1, where the table is scaled by |E|
     "certificate_term_off_by_one": (
         walks.markov_fpt,
-        mutant(walks.markov_fpt, "(p + (n - 4) * c) for", "(p + (n - 4) * c) + (b == 1) for"),
+        mutant(walks.markov_fpt, "[edges * x for", "[edges * x + (x == xs[1]) for"),
         at_every_n("markov_fpt"),
     ),
     # the neighbour offset 1 read as (n - 1)/2, which is not a neighbour
@@ -195,12 +204,11 @@ CONTROLS = {
         mutant(walks.markov_fpt, "h = half + half[:0:-1]", "h = half + half[1:]"),
         at_every_n("markov_fpt"),
     ),
-    # R(l) == R(n - l) unfolded in every route's validation: only half_sums
-    # reads a distance above (n-1)/2 through it, and past the end of its
-    # table of R(0..(n-1)/2), so the check raises
+    # R(l) == R(n - l) unfolded where half_sums reads its table: a distance
+    # above (n-1)/2 reads past the end of R(0..(n-1)/2), so the check raises
     "distance_fold_dropped": (
-        resistance._validate_pair,
-        mutant(resistance._validate_pair, "min(l, n - l)", "l"),
+        checks.check_half_sums,
+        mutant(checks.check_half_sums, "xs[min(l, n - l)]", "xs[l]"),
         at_every_n("half_sums"),
     ),
     "all_resistances_skew": (
@@ -251,7 +259,8 @@ CONTROLS = {
 
 
 # the controls whose check raises; any other fails on its deviation
-RAISING = {"certificate_term_off_by_one", "certificate_offset_swapped", "fold_mirror_dropped", "distance_fold_dropped"}
+RAISING = {"certificate_term_off_by_one", "certificate_offset_swapped", "fold_mirror_dropped", "distance_fold_dropped",
+           "resistance_table_skew"}
 
 
 def failed_rows(capsys):

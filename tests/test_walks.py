@@ -1,6 +1,5 @@
 import inspect
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +131,49 @@ def _in_family(g):
     return g.n % 2 == 1 and g.n >= 5 and g == complete_minus_opposite(g.n)
 
 
+def _fpt_by_fraction_elimination(g, target):
+    # first-step analysis by Fraction elimination over the neighbour lists,
+    # with no closed form: the reference, on any circulant
+    n, deg = g.n, g.degree
+    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        if i == target:
+            aug[i][i] = Fraction(1)
+            continue
+        aug[i][i] = Fraction(deg)
+        for w in g.neighbors(i):
+            aug[i][w] -= 1
+        aug[i][n] = Fraction(deg)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, n):
+            if aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                for c in range(col, n + 1):
+                    aug[r][c] -= factor * aug[col][c]
+    sol = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = aug[i][n] - sum(aug[i][j] * sol[j] for j in range(i + 1, n))
+        sol[i] = acc / aug[i][i]
+    return sol
+
+
+@st.composite
+def connected_circulants(draw, max_n=60):
+    """Circulants on 3..max_n vertices, odd and even, half of the even ones
+    with the jump n/2 (one neighbour, not two)."""
+    n = draw(st.integers(3, max_n))
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    if n % 2 == 0 and draw(st.booleans()):
+        jumps.add(n // 2)
+    assume(math.gcd(n, *jumps) == 1)
+    return CirculantGraph(n, jumps)
+
+
+FAMILY_GRAPHS = [complete_minus_opposite(n) for n in (*range(5, 26, 2), 41, 59)]
+
+
 class TestMarkovOracle:
     def test_cycle_hitting_times(self):
         # the 5-cycle is the family at n = 5
@@ -149,7 +191,7 @@ class TestMarkovOracle:
         g = complete_graph(7)
         with pytest.raises(ValueError, match="complete_minus_opposite"):
             markov_fpt(g, 0)
-        assert _lifted_fpt(g, 0)[1:] == [6] * 6
+        assert _fpt_by_fraction_elimination(g, 0)[1:] == [6] * 6
         assert [g.edge_count * spectral_resistance(g, l) for l in range(1, 7)] == pytest.approx([6] * 6, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(5, 26, 2))
@@ -182,6 +224,14 @@ class TestMarkovOracle:
         with pytest.raises(ArithmeticError, match="it is not returned"):
             faulty(complete_minus_opposite(n), 0)
 
+    @pytest.mark.parametrize("n", [13, 61, 101])
+    def test_a_constant_shift_of_the_table_raises(self, n, monkeypatch):
+        # h + c meets every equation off the target: only the pin h(target) == 0 refuses it
+        xs, w = walks.resistance_numerators(n)
+        monkeypatch.setattr(walks, "resistance_numerators", lambda n: ([x + 1 for x in xs], w))
+        with pytest.raises(ArithmeticError, match="it is not returned"):
+            markov_fpt(complete_minus_opposite(n), 0)
+
     def test_target_shift_by_transitivity(self):
         g = complete_minus_opposite(9)
         h0 = markov_fpt(g, 0)
@@ -191,9 +241,9 @@ class TestMarkovOracle:
     def test_commute_resistance_law(self):
         # h_{0l} + h_{l0} == 2|E| R(l) on assorted circulants, by the exact reference
         for g in (CirculantGraph(8, (1, 3)), CirculantGraph(10, (1, 2)), cycle_graph(9)):
-            h0 = _lifted_fpt(g, 0)
+            h0 = _fpt_by_fraction_elimination(g, 0)
             for l in range(1, g.n):
-                hl = _lifted_fpt(g, l)
+                hl = _fpt_by_fraction_elimination(g, l)
                 round_trip = float(h0[l] + hl[0])
                 expected = 2 * g.edge_count * spectral_resistance(g, l)
                 assert round_trip == pytest.approx(expected, abs=1e-8)
@@ -204,15 +254,15 @@ class TestMarkovOracle:
             assert sum(h) / n == mfpt_closed(n)
 
     def test_cap_enforced(self, monkeypatch):
-        def no_sequence(*args):
-            raise AssertionError("refusal must come before any sequence is built")
+        def no_table(*args):
+            raise AssertionError("refusal must come before any resistance table is built")
 
-        monkeypatch.setattr(walks, "sequence_pair", no_sequence)
+        monkeypatch.setattr(walks, "resistance_numerators", no_table)
         with pytest.raises(ValueError, match=f"solve cap {FPT_SOLVE_CAP}"):
             markov_fpt(complete_minus_opposite(FPT_SOLVE_CAP + 1), 0)
 
     @settings(max_examples=60, deadline=None)
-    @given(g=st.deferred(lambda: connected_circulants(max_n=60)))
+    @given(g=connected_circulants(max_n=60))
     @example(g=cycle_graph(6))  # the jumps of the family's formula at an even n
     @example(g=cycle_graph(3))
     @example(g=complete_graph(7))
@@ -237,172 +287,14 @@ class TestMarkovOracle:
         assert row.passed and row.detail == "exact"
         assert calls == list(range(1, (n - 1) // 2 + 1))
 
-
-def _old_solve_fpt_exact(g, target, deg):
-    # first-step analysis by Fraction elimination over the neighbour lists,
-    # with no closed form: the reference
-    n = g.n
-    aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        if i == target:
-            aug[i][i] = Fraction(1)
-            continue
-        aug[i][i] = Fraction(deg)
-        for w in g.neighbors(i):
-            aug[i][w] -= 1
-        aug[i][n] = Fraction(deg)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            if aug[r][col] != 0:
-                factor = aug[r][col] / aug[col][col]
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    sol = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n] - sum(aug[i][j] * sol[j] for j in range(i + 1, n))
-        sol[i] = acc / aug[i][i]
-    return sol
-
-
-# The exact reference for circulants outside the family, which markov_fpt
-# refuses, and fast where Fraction elimination is not: numeric lifting on
-# up to EXACT_SOLVE_LIMIT vertices.  It lifts LIFT_BITS bits a step and
-# raises on a digit above DIGIT_BOUND or a residual above RESIDUAL_BOUND.
-# Rows of a pinned Laplacian on n <= EXACT_SOLVE_LIMIT vertices have
-# absolute sums <= 2(n - 1) < 2^7, so |a @ digit| < 2^62,
-# |residual << LIFT_BITS| <= 2^61 and the next residual stays below 2^63:
-# int64 is exact.
-EXACT_SOLVE_LIMIT = 60
-LIFT_BITS = 30
-DIGIT_BOUND = 2**55
-RESIDUAL_BOUND = 2**31
-
-
-def _solve_exact(a, b):
-    """Solve a x = b over the rationals by numeric lifting (Wan, 2006).
-
-    From one float inverse, each step lifts LIFT_BITS more bits of x and
-    keeps a @ lifted == scale * b - residual exact in int64.  Lifting stops
-    once scale exceeds twice the square of the Hadamard bound on det(a) and
-    on every Cramer numerator, times the error a^-1 residual, so rational
-    reconstruction (Wang, 1981) recovers x over one common denominator.
-    The result is returned only after a x == b holds exactly on every row,
-    in Python ints; a candidate that fails raises ArithmeticError.  A
-    singular system raises ZeroDivisionError, and so does one whose float
-    inverse cannot prove a nonsingular or keep a digit or the residual
-    within its bound.
-    """
-    mat = np.array(a, dtype=np.int64)
-    try:
-        inverse = np.linalg.inv(mat)
-    except np.linalg.LinAlgError:
-        raise ZeroDivisionError("the system is singular") from None
-    # a null vector z of a has (I - inverse @ a) z = z, so a norm below 1 proves a
-    # nonsingular: the second term bounds the product's rounding, the margin to 1
-    # the test's own
-    slop = np.abs(np.eye(len(b)) - inverse @ mat) + (len(b) + 2) * 2.0**-53 * (np.abs(inverse) @ np.abs(mat))
-    if not slop.sum(axis=1).max() < 0.5:
-        raise ZeroDivisionError("the system is singular or too ill-conditioned to lift")
-    residual = np.array(b, dtype=np.int64)
-    # Hadamard: |det(a)| and every |Cramer numerator| are <= sqrt(sq_bound)
-    sq_bound = math.prod((np.square(mat).sum(axis=1) + np.square(residual)).tolist())
-    lifted, scale = [0] * len(b), 1
-    while True:
-        error = inverse @ residual  # scale * x - lifted, as far as the inverse is exact
-        largest = float(np.abs(error).max())
-        if not largest <= DIGIT_BOUND >> LIFT_BITS:
-            raise ZeroDivisionError("a digit passes DIGIT_BOUND: too ill-conditioned to lift")
-        slack = 2 * math.ceil(largest) + 1  # > |scale * x - lifted| for a good inverse
-        if scale > 2 * sq_bound * slack:
-            break
-        digit = np.rint(error * 2.0**LIFT_BITS).astype(np.int64)
-        residual = (residual << LIFT_BITS) - mat @ digit
-        if not np.abs(residual).max() <= RESIDUAL_BOUND:
-            raise ZeroDivisionError("a residual passes RESIDUAL_BOUND: too ill-conditioned to lift")
-        lifted = [(x << LIFT_BITS) + d for x, d in zip(lifted, digit.tolist())]
-        scale <<= LIFT_BITS
-    # den grows to the lcm of the entries' denominators, a divisor of det(a),
-    # so den * lifted_i lies within den * slack <= bound < scale / 2 of
-    # scale times an integer, the numerator
-    bound = math.isqrt(sq_bound) * slack
-    den = 1
-    for x in lifted:
-        den *= _reconstructed_denominator(den * x % scale, scale, bound)
-    nums = [(den * x + scale // 2) // scale for x in lifted]
-    if any(sum(map(operator.mul, row, nums)) != den * b_i for row, b_i in zip(a, b)):
-        raise ArithmeticError("the lifted solution fails a x == b; it is not returned")
-    return [Fraction(x, den) for x in nums]
-
-
-def _reconstructed_denominator(u, modulus, bound):
-    """The denominator q of the fraction r/q == u mod `modulus` with
-    |r| <= bound, by the extended Euclidean remainder sequence (Wang)."""
-    r0, r1, t0, t1 = modulus, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    return abs(t1)
-
-
-def _pinned_system(g, target):
-    """The Laplacian system of first-step analysis, (deg*I - A) h = deg*1,
-    with the target row pinned to h = 0."""
-    mat = g.laplacian_dense()
-    mat[target] = 0
-    mat[target, target] = 1
-    rhs = np.full(g.n, g.degree)
-    rhs[target] = 0
-    return mat, rhs
-
-
-def _lifted_fpt(g, target):
-    """Hitting times to `target` on any circulant of up to EXACT_SOLVE_LIMIT
-    vertices, by `_solve_exact` on the whole pinned system."""
-    mat, rhs = _pinned_system(g, target)
-    return _solve_exact(mat.tolist(), rhs.tolist())
-
-
-EXACT_ROUTE_GRAPHS = [complete_minus_opposite(n) for n in (*range(5, 26, 2), 41, 59)] + [
-    complete_graph(7),
-    CirculantGraph(8, (1, 3)),
-    CirculantGraph(10, (1, 2)),
-    CirculantGraph(12, (1, 4, 6)),  # a jump of n/2
-]
-
-
-class TestSharedSystem:
-    @pytest.mark.parametrize("g", EXACT_ROUTE_GRAPHS, ids=lambda g: f"n{g.n}-deg{g.degree}")
+    @pytest.mark.parametrize("g", FAMILY_GRAPHS, ids=lambda g: f"n{g.n}-deg{g.degree}")
     def test_exact_route_equals_fraction_elimination(self, g):
-        # markov_fpt on the family, the lifting reference on the other circulants
-        route = markov_fpt if _in_family(g) else _lifted_fpt
         for target in (0, g.n // 2, g.n - 1):
-            h = route(g, target)
+            h = markov_fpt(g, target)
             assert isinstance(h, list)
             assert all(type(x) is Fraction for x in h)
-            assert h == _old_solve_fpt_exact(g, target, g.degree)
+            assert h == _fpt_by_fraction_elimination(g, target)
 
-    def test_zero_pivot_raises(self):
-        # a singular system cannot come back as a wrong answer
-        with pytest.raises(ZeroDivisionError):
-            _solve_exact([[1, 1], [1, 1]], [1, 1])
-
-
-@st.composite
-def connected_circulants(draw, max_n=60):
-    """Circulants on 3..max_n vertices, odd and even, half of the even ones
-    with the jump n/2 (one neighbour, not two)."""
-    n = draw(st.integers(3, max_n))
-    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
-    if n % 2 == 0 and draw(st.booleans()):
-        jumps.add(n // 2)
-    assume(math.gcd(n, *jumps) == 1)
-    return CirculantGraph(n, jumps)
-
-
-class TestReflectionFold:
     def test_equals_the_unfolded_solve_at_every_target(self):
         # the certificate reads the equations at distances 1..(n-1)/2 from the
         # target and mirrors: against the whole system, by elimination
@@ -411,7 +303,15 @@ class TestReflectionFold:
             for target in range(n):
                 h = markov_fpt(g, target)
                 assert all(type(x) is Fraction for x in h)
-                assert h == _old_solve_fpt_exact(g, target, g.degree), (n, target)
+                assert h == _fpt_by_fraction_elimination(g, target), (n, target)
+
+    @pytest.mark.parametrize("n", range(5, 60, 2))
+    def test_family_at_three_targets(self, n):
+        # by vertex-transitivity h[v] is the closed form at distance v - target
+        closed = [Fraction(0)] + [fpt_closed(n, l) for l in range(1, n)]
+        g = complete_minus_opposite(n)
+        for target in (0, n // 2, n - 1):
+            assert markov_fpt(g, target) == [closed[(v - target) % n] for v in range(n)]
 
 
 def _mutant(fn, old, new):
@@ -423,114 +323,10 @@ def _mutant(fn, old, new):
     return namespace[fn.__name__]
 
 
-class TestPAdicSolver:
-    # the exact reference's solver and markov_fpt at several targets; the
-    # class keeps the name it had when that solver lifted p-adically
-    def test_lift_bounds_keep_int64_mat_vecs_exact(self):
-        # every row of a pinned Laplacian up to EXACT_SOLVE_LIMIT vertices
-        # has absolute sum <= 2(n - 1) < 2^7 ...
-        assert 2 * (EXACT_SOLVE_LIMIT - 1) < 2**7
-        for g in (complete_graph(59), complete_graph(60), complete_minus_opposite(59), cycle_graph(60)):
-            mat, _ = _pinned_system(g, 0)
-            assert np.abs(mat).sum(axis=1).max() <= 2 * (g.n - 1)
-        # ... so a @ digit, residual << LIFT_BITS and their difference fit
-        assert 2**7 * DIGIT_BOUND + (RESIDUAL_BOUND << LIFT_BITS) < 2**63
-        # the digit check, made on the unscaled float error, is exact
-        assert (DIGIT_BOUND >> LIFT_BITS) << LIFT_BITS == DIGIT_BOUND
-
-    @settings(max_examples=30, deadline=None)
-    @given(g=connected_circulants(max_n=EXACT_SOLVE_LIMIT), target=st.integers(0, EXACT_SOLVE_LIMIT - 1))
-    # the worst-conditioned systems the reference takes
-    @example(g=cycle_graph(EXACT_SOLVE_LIMIT - 1), target=0)
-    @example(g=cycle_graph(EXACT_SOLVE_LIMIT), target=7)
-    def test_matches_fraction_elimination(self, g, target):
-        target %= g.n
-        assert _lifted_fpt(g, target) == _old_solve_fpt_exact(g, target, g.degree)
-
-    @pytest.mark.parametrize("n", range(5, 60, 2))
-    def test_family_at_three_targets(self, n):
-        # by vertex-transitivity h[v] is the closed form at distance v - target
-        closed = [Fraction(0)] + [fpt_closed(n, l) for l in range(1, n)]
-        g = complete_minus_opposite(n)
-        for target in (0, n // 2, n - 1):
-            assert markov_fpt(g, target) == [closed[(v - target) % n] for v in range(n)]
-
-    def test_singular_systems_raise(self):
-        # consistent and inconsistent; LAPACK inverts `rank_4` without finding
-        # it singular, and the norm test on its float inverse refuses it
-        laplacian = cycle_graph(9).laplacian_dense().tolist()
-        square = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        rank_4 = [[-86, 160, -98, 7, 28], [-90, 99, -112, -59, 6], [-58, 26, -46, -30, 1],
-                  [61, -25, 55, 45, -6], [78, -157, 120, 21, 8]]
-        assert np.linalg.matrix_rank(np.array(rank_4)) == 4
-        np.linalg.inv(np.array(rank_4, dtype=float))
-        for a, b in (([[1, 1], [1, 1]], [1, 1]), (square, [6, 15, 24]), (square, [1, 0, 0]),
-                     (laplacian, [0] * 9), (laplacian, [1] * 9),
-                     (rank_4, [-456, -253, -102, 87, 387]), (rank_4, [1, 0, 0, 0, 0])):
-            with pytest.raises(ZeroDivisionError):
-                _solve_exact(a, b)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
-    def test_random_singular_systems_raise(self, seed, n):
-        # an integer product through n - 1 dimensions, and a right-hand side
-        # in its range or (almost surely) not
-        rng = np.random.default_rng(seed)
-        a = rng.integers(-9, 10, size=(n, n - 1)) @ rng.integers(-9, 10, size=(n - 1, n))
-        for b in (a @ rng.integers(-3, 4, size=n), np.eye(n, dtype=np.int64)[0]):
-            with pytest.raises(ZeroDivisionError):
-                _solve_exact(a.tolist(), b.tolist())
-
-    @pytest.mark.parametrize(
-        "scale, message", [(1 + 1e-3, "RESIDUAL_BOUND"), (1e9, "is singular or"), (math.nan, "is singular or")]
-    )
-    def test_a_poor_float_inverse_raises(self, scale, message, monkeypatch):
-        # an inverse whose residual does not contract, one too far off to prove
-        # a nonsingular and a NaN one all raise before a float is cast to int64
-        mat, rhs = _pinned_system(complete_minus_opposite(25), 0)
-        inverse = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda m: inverse(m) * scale)
-        with pytest.raises(ZeroDivisionError, match=message):
-            _solve_exact(mat.tolist(), rhs.tolist())
-
-    def test_a_digit_past_its_bound_raises(self):
-        # |a^-1 b| * 2^LIFT_BITS above DIGIT_BOUND: refused, not cast
-        assert _solve_exact([[1]], [DIGIT_BOUND >> LIFT_BITS]) == [DIGIT_BOUND >> LIFT_BITS]
-        with pytest.raises(ZeroDivisionError, match="DIGIT_BOUND"):
-            _solve_exact([[1]], [2 * DIGIT_BOUND >> LIFT_BITS])
-
-    def test_a_slightly_poor_float_inverse_is_corrected(self, monkeypatch):
-        mat, rhs = _pinned_system(cycle_graph(EXACT_SOLVE_LIMIT), 0)
-        expected = _solve_exact(mat.tolist(), rhs.tolist())
-        inverse = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda m: inverse(m) * (1 + 1e-12))
-        assert _solve_exact(mat.tolist(), rhs.tolist()) == expected
-
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            # the leading digit of every entry off by one
-            ("(x << LIFT_BITS) + d", "(x << LIFT_BITS) + d + (scale == 1)"),
-            # a common denominator that is not a multiple of every entry's
-            ("den *= _reconstructed_denominator", "den += _reconstructed_denominator"),
-            # numerators truncated, not rounded, from den * lifted / scale
-            ("(den * x + scale // 2) // scale", "den * x // scale"),
-        ],
-        ids=["corrupted_digit", "wrong_denominator", "truncated_numerator"],
-    )
-    def test_certificate_refuses_a_wrong_candidate(self, old, new):
-        n = 25
-        mat, rhs = _pinned_system(complete_minus_opposite(n), 0)
-        assert _solve_exact(mat.tolist(), rhs.tolist())[1:] == [fpt_closed(n, l) for l in range(1, n)]
-        faulty = _mutant(_solve_exact, old, new)
-        with pytest.raises(ArithmeticError, match="it is not returned"):
-            faulty(mat.tolist(), rhs.tolist())
-
-
-# The lifting reference stops at EXACT_SOLVE_LIMIT vertices.  Above it,
-# first-step analysis is also checked modulo a prime P, by an elimination that
-# uses neither the closed form nor the certificate.  Residues stay below 2^31,
-# so products stay below 2^62.
+# Above the sizes where Fraction elimination is quick, first-step analysis
+# is also checked modulo a prime P, by an elimination that uses neither the
+# closed form nor the certificate.  Residues stay below 2^31, so products
+# stay below 2^62.
 P = 2**31 - 1
 
 
@@ -550,9 +346,15 @@ def _solve_mod_p(a, b):
 
 
 def _first_step_mod_p(g):
-    """Hitting times to vertex 0, mod P, from the pinned Laplacian system
-    whose solution `markov_fpt` certifies."""
-    return _solve_mod_p(*_pinned_system(g, 0))
+    """Hitting times to vertex 0, mod P, from the Laplacian system of
+    first-step analysis, (deg*I - A) h = deg*1 with the row of vertex 0
+    pinned to h = 0: the system whose solution `markov_fpt` certifies."""
+    mat = g.laplacian_dense()
+    mat[0] = 0
+    mat[0, 0] = 1
+    rhs = np.full(g.n, g.degree)
+    rhs[0] = 0
+    return _solve_mod_p(mat, rhs)
 
 
 def _mod_p(x):
