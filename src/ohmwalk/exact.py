@@ -70,11 +70,12 @@ def sequence_pair(ctx: SequenceContext, upto: int) -> tuple[list[int], list[int]
 
 
 def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
-    """(B_k, P_k) for k >= 0 by binary powering of phi on integer pairs.
+    """(B_k, P_k) for k >= 0 by binary powering, top-down from the memo of k >> 1.
 
     Squaring maps (B, P) to (B*P, (P**2 + d*B**2)/2), which is P**2 - 2 by
-    the norm P**2 - d*B**2 = 4; multiplying by phi maps (B, P) to
-    ((m*B + P)/2, (m*P + d*B)/2) with m = n - 2.  `ctx` remembers the pair.
+    the norm P**2 - d*B**2 = 4; multiplying by phi (for odd k) maps (B, P) to
+    ((m*B + P)/2, (m*P + d*B)/2), m = n - 2.  `ctx` remembers each pair on the
+    way, so a call whose k >> 1 is known costs O(1) multiplies.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -82,12 +83,10 @@ def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
         return 0, 2
     if k in ctx._powers:
         return ctx._powers[k]
-    m, d = ctx.n - 2, ctx.d
-    b, p = 1, m  # phi, for k's leading bit
-    for bit in bin(k)[3:]:
-        b, p = b * p, p * p - 2
-        if bit == "1":
-            b, p = (m * b + p) // 2, (m * p + d * b) // 2
+    b, p = power_pair(ctx, k >> 1)
+    b, p = b * p, p * p - 2
+    if k & 1:
+        b, p = ((ctx.n - 2) * b + p) // 2, ((ctx.n - 2) * p + ctx.d * b) // 2
     ctx._powers[k] = b, p
     return b, p
 

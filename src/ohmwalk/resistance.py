@@ -16,15 +16,16 @@ half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
 `resistance_numerators` gives every R(d) = 2*B_d*w_{n-2d}/w_n over w_n from one
 `sequence_pair`: the one table that `walks.markov_fpt` certifies and `half_sums` reads.
 
-The Kirchhoff index is reduced by a proved small multiple of its gcd
-(`exact.reduce_by`), so no gcd runs on two operands of the size of w_n.
-R(l) still takes the constructor's full-size gcd: reduced by the proved
-`exact.resistance_gcd_bound`, perfbench's exact_large_n repetitions drop
-under its reference sampler's 25 ms period (see ROADMAP).  Memory stays
-linear in the size of the result.  Independent routes check it: the
-radical shape in stdlib `decimal` (its l-independent work done once per
-n by `radical_pass`), the Laplacian eigenvalue sum, and the half sums
-(the terms of every l from `half_sum_terms`, each distinct sine once).
+The derived quantities, the Kirchhoff index and |E|*R(l) in `walks`, reduce
+by proved small multiples of their gcds (`exact.reduce_by`; 2n and
+|E|*`exact.resistance_gcd_bound`): no gcd on two operands of w_n's size.
+R(l) itself still takes the constructor's full-size gcd: reduced by that
+bound, perfbench's exact_large_n repetitions drop under its reference
+sampler's 25 ms period (see ROADMAP).  Memory stays linear in the size of
+the result.  Independent routes check it: the radical shape in stdlib
+`decimal` (its l-independent work done once per n by `radical_pass`), the
+Laplacian eigenvalue sum, and the half sums (the terms of every l from
+`half_sum_terms`, each distinct sine once).
 """
 
 from __future__ import annotations
@@ -53,12 +54,16 @@ def _validate_pair(n: int, l: int) -> tuple[SequenceContext, int]:
     return ctx, min(l, n - l)
 
 
-def two_point_resistance(n: int, l: int) -> Fraction:
-    """Exact resistance between vertices at circular distance l."""
-    ctx, l = _validate_pair(n, l)
+def _resistance_numerator(ctx: SequenceContext, l: int) -> tuple[int, int]:
+    """(num_l, w_n) with R(l) = num_l/w_n unreduced, for 1 <= l <= (n-1)/2."""
     n, (b, p), (u, w) = ctx.n, power_pair(ctx, l), half_index_pair(ctx)
-    del ctx  # its memo would hold (B_j, P_j) through the full-size gcd below
-    return Fraction(b * (p * w - (n - 4) * u * b), w)
+    return b * (p * w - (n - 4) * u * b), w
+
+
+def two_point_resistance(n: int, l: int) -> Fraction:
+    """Exact resistance between vertices at circular distance l, reduced by the constructor's
+    full-size gcd (see above), which runs with no context alive: its memo holds (B_j, P_j)."""
+    return Fraction(*_resistance_numerator(*_validate_pair(n, l)))
 
 
 def resistance_numerators(n: int) -> tuple[list[int], int]:

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from . import _walk_np as _kernel
 from .circulant import CirculantGraph
-from .exact import reduce_by
-from .resistance import resistance_numerators, total_effective_resistance, two_point_resistance
+from .exact import SequenceContext, reduce_by, resistance_gcd_bound
+from .resistance import _resistance_numerator, _validate_pair, resistance_numerators, total_effective_resistance
+from .resistance import two_point_resistance  # not called here; perfbench/spans.py wraps this binding
 
 # WalkConfig rejects max_steps at or above this; simulate_fpt clamps below it
 _MAX_STEPS_LIMIT = 2**31
@@ -37,11 +38,13 @@ def kernel_backend() -> str:
 
 
 def fpt_closed(n: int, l: int) -> Fraction:
-    """Expected steps from a vertex to one at circular distance l on the
-    complete-minus-opposite graph: |E| * R(l) with |E| = n(n-3)/2."""
-    r, n = two_point_resistance(n, l), operator.index(n)  # a numpy n would overflow |E| * numerator
+    """Expected steps from a vertex to one at circular distance l on the complete-minus-opposite
+    graph: |E| * R(l), |E| = n(n-3)/2.  With R(l) = num/w_n, gcd(|E|*num, w_n) divides
+    gcd(|E|, w_n)*gcd(num, w_n) and so |E|*`resistance_gcd_bound`: no full-size gcd runs."""
+    ctx, l = _validate_pair(n, l)
+    n, (num, w) = ctx.n, _resistance_numerator(ctx, l)
     edges = n * (n - 3) // 2
-    return reduce_by(edges * r.numerator, r.denominator, edges)  # R(l) is in lowest terms: gcd | |E|
+    return reduce_by(edges * num, w, edges * resistance_gcd_bound(ctx, l))
 
 
 def mfpt_degree(n: int, variant: str) -> int:
@@ -79,7 +82,8 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     The reflection v -> 2*target - v fixes the graph and the target, so
     h[target + d] == h[target - d]: the pin and the equations at d = 1..(n-1)/2
     are all of them, each O(1) big-int operations (the neighbour sum is the
-    whole sum less h(d) and the two non-neighbours).
+    whole sum less h(d) and the two non-neighbours).  Each value is reduced
+    by the proved bound of `fpt_closed`, not by a full-size gcd.
     """
     n = g.n
     if not 0 <= target < n:
@@ -97,7 +101,9 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     if h[0] or any(deg * h[d] - (total - h[d] - sum(h[(d + o) % n] for o in others)) != deg * w
                    for d in range(1, j + 1)):
         raise ArithmeticError("the candidate fails a first-step equation; it is not returned")
-    values = [Fraction(x, w) for x in half]
+    ctx = SequenceContext(n)  # the bound of fpt_closed, once per divisor s = gcd(d, n) of n
+    bounds = {s: edges * resistance_gcd_bound(ctx, s) for s in range(1, j + 1) if n % s == 0}
+    values = [Fraction(0)] + [reduce_by(x, w, bounds[math.gcd(d, n)]) for d, x in enumerate(half[1:], 1)]
     return [values[min(k, n - k)] for k in ((v - target) % n for v in range(n))]
 
 

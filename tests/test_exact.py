@@ -338,6 +338,22 @@ class TestPowering:
         for k in reversed(range(301)):
             assert power_pair(ctx, k) == power_pair(SequenceContext(n), k) == (bs[k], ps[k]), (n, k)
 
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @given(n=ODD_N_TO_401, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_top_down_memo_in_any_call_order(self, order, n, seed):
+        # each call steps from the memo of k >> 1: found there at once
+        # (ascending), or first filled in by the call's own recursion
+        # (descending), or either (shuffled)
+        ctx = SequenceContext(n)
+        bs, ps = sequence_pair(ctx, 2000)
+        ks = list(range(2001))
+        if order == "descending":
+            ks.reverse()
+        elif order == "shuffled":
+            random.Random(seed).shuffle(ks)
+        assert [(k, power_pair(ctx, k)) for k in ks] == [(k, (bs[k], ps[k])) for k in ks]
+
     def test_memo_is_not_part_of_the_context(self):
         a, b = SequenceContext(61), SequenceContext(61)
         power_pair(a, 100)

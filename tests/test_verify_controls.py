@@ -53,6 +53,14 @@ def each_shifted(fn, delta):
     return lambda *args: [x + delta for x in fn(*args)]
 
 
+def ratio_scaled(fn, factor):
+    """`fn`'s (numerator, denominator) pair with their ratio `factor` times too large."""
+    def faulty(*args):
+        num, den = fn(*args)
+        return num * factor.numerator, den * factor.denominator
+    return faulty
+
+
 def table_shifted(fn, denominator):
     """`fn`'s table of numerators over w with every R(d) 1/denominator too large."""
     def faulty(*args):
@@ -126,10 +134,19 @@ CONTROLS = {
         shifted(spectral.folded_alternating, 1),
         at_every_n("power_sums"),
     ),
+    # R(l)'s numerator over w_n, which two_point_resistance and fpt_closed share
     "exact_resistance_skew": (
-        resistance.two_point_resistance,
-        scaled(resistance.two_point_resistance, Fraction(10**7 + 1, 10**7)),
+        resistance._resistance_numerator,
+        ratio_scaled(resistance._resistance_numerator, Fraction(10**7 + 1, 10**7)),
         at_every_n("resistance_oracles", "markov_fpt"),
+    ),
+    # the sequence row asserts the bound at every l; fpt_closed and markov_fpt
+    # reduce by the same wrong bound, so they still agree with each other.  At
+    # n = 5 and 7 every gcd(num_l, w_n) is 1, which divides any bound
+    "gcd_bound_off_by_one": (
+        exact.resistance_gcd_bound,
+        shifted(exact.resistance_gcd_bound, 1),
+        {("sequence_identities", "9")},
     ),
     # the one table per n that half_sums reads R(l)/2 from and markov_fpt
     # certifies: the certificate refuses it at h(target) != 0
@@ -161,13 +178,24 @@ CONTROLS = {
         at_every_n("sequence_identities"),
     ),
     # power_pair returns the pair it computed but remembers a wrong one, so
-    # only a second call for the same k in one context sees the fault: the
-    # sequence row's sums and gcd bounds after its first calls were checked,
-    # and two_point_resistance's half-index pair at l = (n - 1)/2
+    # only a later call in one context that reaches a remembered k, as k or
+    # as one of its k >> i, sees the fault: the sequence row's later calls,
+    # and the half-index pair of two_point_resistance and fpt_closed, whose
+    # chain meets l's at least at k = 1.  The first call's chain is right,
+    # so conjugate_ratio and the Kirchhoff index, one call each, pass
     "power_memo_corrupted": (
         exact.power_pair,
         mutant(exact.power_pair, "ctx._powers[k] = b, p", "ctx._powers[k] = b + 1, p"),
         at_every_n("sequence_identities", "resistance_oracles", "markov_fpt"),
+    ),
+    # P_2k = P_k**2 - 2 with the sign flipped: every pair past k = 0 is
+    # wrong, so every row that powers phi fails, and so does the walk's z-test
+    # against the wrong FPT at n = 7
+    "power_doubling_sign": (
+        exact.power_pair,
+        mutant(exact.power_pair, "p * p - 2", "p * p + 2"),
+        at_every_n("sequence_identities", "resistance_oracles", "markov_fpt", "conjugate_ratio", "eigentime",
+                   "symmetry_identity") | {("monte_carlo", "7")},
     ),
     "conjugate_ratio_skew": (
         exact.conjugate_ratio,

@@ -73,6 +73,25 @@ def handoffs(monkeypatch):
     return seen
 
 
+def _full_gcd_fpt(n, l):
+    """(numerator, denominator) of |E| * R(l) through two_point_resistance and
+    the constructor, each with its full-size gcd."""
+    r = two_point_resistance(n, l)
+    x = Fraction(n * (n - 3) // 2 * r.numerator, r.denominator)
+    return x.numerator, x.denominator
+
+
+def _pair(x):
+    assert type(x) is Fraction
+    return x.numerator, x.denominator
+
+
+# (n, distances): both ends of the range, and distances whose s = gcd(l, n),
+# and so the reduction bound 8*w_s**2, is large
+LARGE_GCD_CASES = [(1001, (1, 500)), (2001, (1, 1000)), (729, (81, 243)), (2025, (405, 675)),
+                   (2187, (243, 729)), (10001, (73, 137, 4964))]
+
+
 class TestClosedForms:
     def test_fpt_values(self):
         assert fpt_closed(5, 2) == 6
@@ -80,13 +99,15 @@ class TestClosedForms:
         assert fpt_closed(7, 3) == Fraction(96, 13)
 
     def test_fpt_equals_the_constructor(self):
-        # |E| * R(l) reduced by |E|, as the constructor reduces it
-        for n in range(5, 62, 2):
+        # reduced by |E| * resistance_gcd_bound, as the full-size gcds reduce it
+        for n in range(5, 402, 2):
             for l in range(1, n):
-                r, got = two_point_resistance(n, l), fpt_closed(n, l)
-                expected = Fraction(n * (n - 3) // 2 * r.numerator, r.denominator)
-                assert type(got) is Fraction and (got.numerator, got.denominator) == (
-                    expected.numerator, expected.denominator), (n, l)
+                assert _pair(fpt_closed(n, l)) == _full_gcd_fpt(n, l), (n, l)
+
+    @pytest.mark.parametrize("n, ls", LARGE_GCD_CASES)
+    def test_fpt_equals_the_constructor_at_large_n(self, n, ls):
+        for l in ls:
+            assert _pair(fpt_closed(n, l)) == _pair(fpt_closed(n, n - l)) == _full_gcd_fpt(n, l), l
 
     def test_cycle_fpt_is_l_times_n_minus_l(self):
         for l in range(1, 5):
@@ -208,6 +229,15 @@ class TestMarkovOracle:
             h = markov_fpt(complete_minus_opposite(n), 0)
             assert all(type(x) is Fraction for x in h)
             assert h[0] == 0 and all(h[l] == fpt_closed(n, l) for l in range(1, n)), n
+
+    @pytest.mark.parametrize("n, ls", [(n, ls) for n, ls in LARGE_GCD_CASES if n <= FPT_SOLVE_CAP])
+    def test_reduced_as_the_constructor_reduces_at_large_n(self, n, ls):
+        # each value reduced by the bound of fpt_closed, the target's as 0/1; at odd
+        # n <= 401 test_equals_fpt_closed_at_every_l and test_fpt_equals_the_constructor hold it
+        h = markov_fpt(complete_minus_opposite(n), 0)
+        assert _pair(h[0]) == (0, 1)
+        for l in ls:
+            assert _pair(h[l]) == _pair(h[n - l]) == _full_gcd_fpt(n, l), l
 
     @pytest.mark.parametrize("n", [13, 61, 101, 401, 1001])
     def test_a_faulted_candidate_term_raises(self, n):
