@@ -28,7 +28,6 @@ from .resistance import (
     two_point_resistance_radical,
 )
 from .spectral import (
-    all_resistances,
     chebyshev_normalized,
     cos_odd_power_sum,
     eigenvalues_circulant,
@@ -56,7 +55,6 @@ __all__ = [
     "ResistanceReport",
     "SequenceContext",
     "WalkConfig",
-    "all_resistances",
     "bejaia",
     "bejaia_sequence",
     "chebyshev_normalized",

@@ -82,7 +82,7 @@ def cmd_resistance(args) -> int:
 def cmd_fpt(args) -> int:
     exact = fpt_closed(args.n, args.l)
     g = complete_minus_opposite(args.n)
-    oracle = g.edge_count * spectral_resistance(g, args.l)
+    oracle = g.edge_count * float(spectral_resistance(g)[args.l])
     return _spectral_scalar(args, "fpt", {"n": args.n, "l": args.l}, exact, oracle)
 
 

@@ -205,8 +205,6 @@ def max_or_nan(devs: list[float]) -> float:
 class ResistanceReport:
     """One (n, l) resistance with all three routes and their spread."""
 
-    n: int
-    l: int
     exact: Fraction
     float_closed: float
     spectral: float
@@ -224,4 +222,4 @@ def resistance_report(n: int, l: int, spectrum: np.ndarray | None = None,
     spec = float(spectrum[l])
     as_float = float(exact)
     dev = max_or_nan([rel_dev(as_float, closed), rel_dev(as_float, spec), rel_dev(closed, spec)])
-    return ResistanceReport(n, l, exact, closed, spec, dev)
+    return ResistanceReport(exact, closed, spec, dev)

@@ -64,7 +64,7 @@ def reciprocal_sum(values: np.ndarray) -> float:
     return sum((1.0 / values[1:]).tolist())
 
 
-def all_resistances(g: CirculantGraph) -> np.ndarray:
+def spectral_resistance(g: CirculantGraph) -> np.ndarray:
     """Two-point resistance R(l) for every distance l = 0..n-1.
 
     With 4 sin^2(pi*k*l/n) = 2 - 2 cos(2*pi*k*l/n), the eigenvalue sum
@@ -84,17 +84,6 @@ def all_resistances(g: CirculantGraph) -> np.ndarray:
     half = (2.0 / n) * (inv.sum() - np.fft.rfft(inv).real)
     half[0] = 0.0
     return _mirror(half, n)
-
-
-def spectral_resistance(g: CirculantGraph, l: int | None = None) -> float | np.ndarray:
-    """Two-point resistance between vertices at circular distance l, read
-    from `all_resistances`; with l None, that whole array."""
-    n = g.n
-    if l is None:
-        return all_resistances(g)
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"l must be in [1, {n - 1}], got {l}")
-    return float(all_resistances(g)[l])
 
 
 # --- trigonometric power sums -------------------------------------------

@@ -29,8 +29,6 @@ from .resistance import two_point_resistance  # not called here; perfbench/spans
 # WalkConfig rejects max_steps at or above this; simulate_fpt clamps below it
 _MAX_STEPS_LIMIT = 2**31
 
-FPT_SOLVE_CAP = 2048  # markov_fpt refuses graphs with more vertices
-
 
 def kernel_backend() -> str:
     """Which walk kernel simulate_fpt runs: always 'numpy'."""
@@ -76,8 +74,7 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     solution (Kemeny and Snell, Finite Markov Chains, 6.3), and the
     check is a certificate (McConnell, Mehlhorn, Naeher and Schweitzer,
     "Certifying algorithms", Comput. Sci. Rev. 5, 2011).  A candidate that
-    fails raises ArithmeticError.  Any other graph, and a graph above
-    FPT_SOLVE_CAP vertices, is refused.
+    fails raises ArithmeticError.  Any other graph is refused.
 
     The reflection v -> 2*target - v fixes the graph and the target, so
     h[target + d] == h[target - d]: the pin and the equations at d = 1..(n-1)/2
@@ -88,8 +85,6 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     n = g.n
     if not 0 <= target < n:
         raise ValueError(f"target must be in [0, {n - 1}], got {target}")
-    if n > FPT_SOLVE_CAP:
-        raise ValueError(f"graph has {n} vertices, above the solve cap {FPT_SOLVE_CAP}")
     j = (n - 1) // 2
     if n % 2 == 0 or g.jumps != tuple(range(1, j)):
         raise ValueError(f"first-step analysis is certified on complete_minus_opposite(n) only, got C_{n}{g.jumps}")

@@ -353,6 +353,15 @@ class TestFamilyDomain:
         assert (code, out) == (2, "")
         assert err == f"error: n must be odd and >= 5, got {n}\n"
 
+    @pytest.mark.parametrize("command", ["fpt", "resistance", "simulate"])
+    @pytest.mark.parametrize("l", [0, 11, -1])
+    def test_one_l_message_for_every_command(self, capsys, command, l):
+        # the one l rule, resistance._validate_pair, for every command that takes --l
+        trials = ["--trials", "10"] if command == "simulate" else []
+        code, out, err = run(capsys, command, "--n", "11", "--l", str(l), *trials)
+        assert (code, out) == (2, "")
+        assert err == f"error: l must be in [1, 10], got {l}\n"
+
 
 def reference_parser() -> argparse.ArgumentParser:
     """The hand-written parser that `cli.COMMANDS` replaced, kept as the

@@ -323,15 +323,14 @@ class TestReport:
     def test_shared_spectrum_gives_the_same_report(self):
         for n in (5, 9, 33):
             spectrum = spectral_resistance(complete_minus_opposite(n))
-            assert np.array_equal(spectrum, spectral.all_resistances(complete_minus_opposite(n)))
             for l in range(1, n):
                 assert resistance_report(n, l, spectrum) == resistance_report(n, l)
 
     @pytest.mark.parametrize("n", [5, 21, 61])
     def test_oracle_check_builds_one_spectrum_per_n(self, n, monkeypatch):
         calls = []
-        original = spectral.all_resistances
-        monkeypatch.setattr(spectral, "all_resistances", lambda g: calls.append(g) or original(g))
+        original = checks.spectral_resistance
+        monkeypatch.setattr(checks, "spectral_resistance", lambda g: calls.append(g) or original(g))
         row = checks.check_resistance_oracles(n, 1e-9)
         assert len(calls) == 1 and row.passed
         monkeypatch.undo()
@@ -372,7 +371,7 @@ class TestReport:
 def test_exact_spectral_and_radical_routes_agree(n):
     # odd n <= 401, every distance l, on both sides of the l <-> n-l fold
     g = complete_minus_opposite(n)
-    spectrum = spectral.all_resistances(g)  # spectral_resistance(g, l) reads spectrum[l]
+    spectrum = spectral_resistance(g)
     for l in range(1, n):
         exact = float(two_point_resistance(n, l))
         assert spectrum[l] == pytest.approx(exact, rel=1e-13, abs=0)

@@ -12,7 +12,6 @@ from ohmwalk.circulant import (
 from ohmwalk.exact import SequenceContext, pisa
 from ohmwalk.spectral import (
     _folded_rows,
-    all_resistances,
     chebyshev_normalized,
     cos_odd_power_sum,
     cos_odd_power_sum_direct,
@@ -155,39 +154,30 @@ class TestReciprocalSum:
 
 class TestSpectralResistance:
     def test_cycle_values(self):
-        g = cycle_graph(5)
-        assert spectral_resistance(g, 1) == pytest.approx(0.8, abs=1e-12)
-        assert spectral_resistance(g, 2) == pytest.approx(1.2, abs=1e-12)
+        r = spectral_resistance(cycle_graph(5))
+        assert r[1] == pytest.approx(0.8, abs=1e-12)
+        assert r[2] == pytest.approx(1.2, abs=1e-12)
 
     def test_family_against_pseudoinverse(self):
         g = complete_minus_opposite(7)
         pinv = np.linalg.pinv(g.laplacian_dense().astype(float))
+        r = spectral_resistance(g)
         for l in range(1, 7):
             oracle = pinv[0, 0] + pinv[l, l] - 2 * pinv[0, l]
-            assert spectral_resistance(g, l) == pytest.approx(oracle, rel=1e-10)
-        assert spectral_resistance(g, 1) == pytest.approx(38 / 91, rel=1e-12)
+            assert r[l] == pytest.approx(oracle, rel=1e-10)
+        assert r[1] == pytest.approx(38 / 91, rel=1e-12)
 
     def test_symmetry_is_bitwise(self):
-        g = CirculantGraph(11, (1, 3))
+        r = spectral_resistance(CirculantGraph(11, (1, 3)))
         for l in range(1, 11):
-            assert spectral_resistance(g, l) == spectral_resistance(g, 11 - l)
-
-    def test_l_range_validated(self):
-        with pytest.raises(ValueError):
-            spectral_resistance(cycle_graph(5), 0)
-        with pytest.raises(ValueError):
-            spectral_resistance(cycle_graph(5), 5)
+            assert r[l] == r[11 - l]
 
     @pytest.mark.parametrize("n", range(5, 26, 2))
     def test_foster_theorem(self, n):
         # sum of resistances over the edges of any connected graph = n - 1
         for g in (cycle_graph(n), CirculantGraph(n, (1, 2)), complete_minus_opposite(n)):
-            total = sum(
-                spectral_resistance(g, (w - v) % n)
-                for v in range(n)
-                for w in g.neighbors(v)
-                if v < w
-            )
+            r = spectral_resistance(g)
+            total = sum(r[(w - v) % n] for v in range(n) for w in g.neighbors(v) if v < w)
             assert total == pytest.approx(n - 1, rel=1e-8)
 
 
@@ -391,7 +381,7 @@ class TestAllResistances:
             for k in range(n)
         ]
         assert eigenvalues_circulant(g) == pytest.approx(lam, rel=1e-14, abs=0)
-        r = all_resistances(g)
+        r = spectral_resistance(g)
         for l in range(1, n):
             loop = sum(4 * math.sin(math.pi * k * l / n) ** 2 / lam[k] for k in range(1, n)) / n
             assert r[l] == pytest.approx(loop, rel=1e-13, abs=0)
@@ -402,13 +392,13 @@ class TestAllResistances:
         g = CirculantGraph(12, jumps)
         pinv = np.linalg.pinv(g.laplacian_dense().astype(float))
         oracle = [pinv[0, 0] + pinv[l, l] - 2 * pinv[0, l] for l in range(12)]
-        assert np.max(np.abs(all_resistances(g) - oracle)) < 1e-12
+        assert np.max(np.abs(spectral_resistance(g) - oracle)) < 1e-12
 
     def test_zero_distance_and_mirror_are_exact(self):
         # a plain FFT misses both by rounding once n reaches the thousands
         for g in (CirculantGraph(12, (1, 4, 6)), CirculantGraph(1000, (1, 7, 500)),
                   complete_minus_opposite(1001), cycle_graph(10001)):
-            r = all_resistances(g)
+            r = spectral_resistance(g)
             assert r.shape == (g.n,) and r[0] == 0.0
             assert np.array_equal(r[1:], r[:0:-1])
 
@@ -417,11 +407,11 @@ class TestAllResistances:
         # from an FFT of the Laplacian's first row puts R off by ~5e-6 here
         n = 10001
         l = np.arange(n)
-        r = all_resistances(cycle_graph(n))
+        r = spectral_resistance(cycle_graph(n))
         assert np.max(np.abs(r - l * (n - l) / n)) < 1e-11
 
     def test_star_import_exports_it(self):
-        # the README quick start names all_resistances after `from ohmwalk import *`
+        # the README quick start names spectral_resistance after `from ohmwalk import *`
         ns = {}
         exec("from ohmwalk import *", ns)
-        assert ns["all_resistances"] is all_resistances
+        assert ns["spectral_resistance"] is spectral_resistance

@@ -240,8 +240,8 @@ CONTROLS = {
         at_every_n("half_sums"),
     ),
     "all_resistances_skew": (
-        spectral.all_resistances,
-        scaled(spectral.all_resistances, 1 + 1e-7),
+        spectral.spectral_resistance,
+        scaled(spectral.spectral_resistance, 1 + 1e-7),
         at_every_n("resistance_oracles", "foster"),
     ),
     # A NaN at an interior position of one route: the builtin max would keep
@@ -269,8 +269,8 @@ CONTROLS = {
     # R(2) and R(n - 2) from the one FFT that gives every distance; at n = 5
     # foster reads only R(1) and R(4)
     "nan_spectral_distance": (
-        spectral.all_resistances,
-        nan_item(spectral.all_resistances, [2, -2]),
+        spectral.spectral_resistance,
+        nan_item(spectral.spectral_resistance, [2, -2]),
         at_every_n("resistance_oracles") | {("foster", "7"), ("foster", "9")},
     ),
     "nan_conjugate_ratio_radical": (
