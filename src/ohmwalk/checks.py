@@ -20,9 +20,9 @@ from .circulant import complete_graph, complete_minus_opposite
 from .exact import SequenceContext, bejaia, bejaia_sequence, conjugate_ratio, half_index_pair, power_pair
 from .exact import resistance_gcd_bound, sequence_pair, sum_bejaia_even, sum_bejaia_squares
 from .resistance import (
+    _resistance_numerator,
     conjugate_ratio_radical,
     eigentime_identity_check,
-    half_sum_terms,
     max_or_nan,
     r_half_sums,
     radical_pass,
@@ -82,15 +82,14 @@ def check_power_sums(n: int, tol: float) -> Measured:
 
 def check_half_sums(n: int, tol: float) -> Measured:
     # R(l)/2 from one table per n, as float(R(l)) / 2; resistance_oracles checks the per-l route
-    terms, (xs, w) = half_sum_terms(n), resistance_numerators(n)
-    sums = [(*r_half_sums(n, l, terms), xs[min(l, n - l)] / w / 2.0) for l in range(1, n)]
-    dev = max_or_nan([abs(r1 - other) for r1, r2, closed in sums for other in (r2, closed)])
+    (xs, w), sums = resistance_numerators(n), r_half_sums(n)
+    dev = max_or_nan([abs(r1 - other) for (r1, r2), x in zip(sums[1:], xs[1:]) for other in (r2, x / w / 2.0)])
     return Measured(dev, dev <= tol)
 
 
 def check_resistance_oracles(n: int, tol: float) -> Measured:
     # each route gives R(n - l) == R(l) bit for bit; half_sums reads every l
-    spectrum, radical = spectral_resistance(complete_minus_opposite(n)), radical_pass(n, (n - 1) // 2)
+    spectrum, radical = spectral_resistance(complete_minus_opposite(n)), radical_pass(n)
     dev = max_or_nan([resistance_report(n, l, spectrum, radical).max_rel_dev for l in range(1, (n + 1) // 2)])
     return Measured(dev, dev <= tol)
 
@@ -121,10 +120,11 @@ def check_sequence_identities(n: int, tol: float) -> Measured:
     ok &= bs[n] == u * w
     ok &= ps[n] + 2 == n * w * w
     ok &= conjugate_ratio(ctx) == Fraction(d * bs[n], ps[n] + 2)
-    # proved multiples of the gcds of R(l) and of the Kirchhoff index
+    # R(l)*w_n powered per l against the table, and proved multiples of the gcds of R(l) and of the Kirchhoff index
+    xs, w_xs = resistance_numerators(n)
     for l in range(1, (n - 1) // 2 + 1):
-        g = math.gcd(bs[l] * (ps[l] * w - (n - 4) * u * bs[l]), w)
-        ok &= resistance_gcd_bound(ctx, l) % g == 0
+        ok &= _resistance_numerator(ctx, l) == (xs[l], w_xs)
+        ok &= resistance_gcd_bound(ctx, l) % math.gcd(xs[l], w) == 0
     ok &= 2 * n % math.gcd(n * u - w, w) == 0
     for l in range(upto + 1):
         ok &= ps[l] ** 2 - d * bs[l] ** 2 == 4

@@ -14,7 +14,8 @@ half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
     Kirchhoff index = n*u_n/w_n - 1.
 
 `resistance_numerators` gives every R(d) = 2*B_d*w_{n-2d}/w_n over w_n from one
-`sequence_pair`: the one table that `walks.markov_fpt` certifies and `half_sums` reads.
+`sequence_pair`, mirrored to all n distances: the one table that
+`walks.markov_fpt` certifies and `half_sums` reads.
 
 The derived quantities, the Kirchhoff index and |E|*R(l) in `walks`, reduce
 by proved small multiples of their gcds (`exact.reduce_by`; 2n and
@@ -24,13 +25,14 @@ bound, perfbench's exact_large_n repetitions drop under its reference
 sampler's 25 ms period (see ROADMAP).  Memory stays linear in the size of
 the result.  Independent routes check it: the radical shape in stdlib
 `decimal` (its l-independent work done once per n by `radical_pass`), the
-Laplacian eigenvalue sum, and the half sums (the terms of every l from
-`half_sum_terms`, each distinct sine once).
+Laplacian eigenvalue sum, and the half sums (every l from one
+`r_half_sums` call, each distinct sine once).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
@@ -46,9 +48,9 @@ from .spectral import eigenvalues_minus_opposite, reciprocal_sum, spectral_resis
 
 
 def _validate_pair(n: int, l: int) -> tuple[SequenceContext, int]:
-    """Domain-check (n, l): the family's context, and l folded into
-    [1, (n-1)/2]."""
-    ctx = SequenceContext(n)
+    """Domain-check (n, l): the family's context, and l, as the Python int
+    it equals (`operator.index`), folded into [1, (n-1)/2]."""
+    ctx, l = SequenceContext(n), operator.index(l)
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be in [1, {n - 1}], got {l}")
     return ctx, min(l, n - l)
@@ -68,11 +70,12 @@ def two_point_resistance(n: int, l: int) -> Fraction:
 
 def resistance_numerators(n: int) -> tuple[list[int], int]:
     """xs[d] = R(d)*w_n = 2*B_d*w_{n-2d} = B_d*(P_{j-d} + (n-4)*B_{j-d}) at d = 0..j = (n-1)/2,
-    and w_n, from one `sequence_pair`, not a powering per d."""
+    mirrored by R(n-d) = R(d) to every d < n, and w_n, from one `sequence_pair`, not a powering per d."""
     ctx = SequenceContext(n)
     n, j = ctx.n, (ctx.n - 1) // 2
     bs, ps = sequence_pair(ctx, j)
-    return [b * (p + (n - 4) * c) for b, p, c in zip(bs, ps[::-1], bs[::-1])], (ps[j] + (n - 4) * bs[j]) // 2
+    half = [b * (p + (n - 4) * c) for b, p, c in zip(bs, ps[::-1], bs[::-1])]
+    return half + half[:0:-1], (ps[j] + (n - 4) * bs[j]) // 2
 
 
 def _radical_context(n: int, l: int) -> Context:
@@ -93,10 +96,11 @@ def _radical_terms(n: int, l: int) -> tuple[Decimal, Decimal, Decimal, Decimal]:
 RadicalPass = namedtuple("RadicalPass", "root ratio powers")
 
 
-def radical_pass(n: int, l_max: int) -> RadicalPass:
-    """Root, ratio and powers[l] = (unit**l, qb**l) for l <= l_max, in the context of
+def radical_pass(n: int) -> RadicalPass:
+    """Root, ratio and powers[l] = (unit**l, qb**l) for l <= l_max = (n-1)/2, in the context of
     l_max; each power one multiply from the last, costing ~log10(l_max) guard digits."""
     n = SequenceContext(n).n
+    l_max = (n - 1) // 2
     with localcontext(_radical_context(n, l_max)):
         root, ratio, unit, conj = _radical_terms(n, 1)
         powers = [(Decimal(1), Decimal(1))]
@@ -113,8 +117,8 @@ def two_point_resistance_radical(n: int, l: int, radical: RadicalPass | None = N
     with B's from their conjugate-power expressions (B_{2l} squares the
     powers of B_l) and qb the conjugate unit, in the `decimal` context of l
     and rounded to a double.  Alone, the route binary-powers; pass
-    `radical_pass(n, l_max)` as `radical` to read, for any l <= l_max, its
-    root, ratio and powers, rounded to the context of l.
+    `radical_pass(n)` as `radical` to read its root, ratio and powers,
+    rounded to the context of l.
     """
     ctx, l = _validate_pair(n, l)
     n = ctx.n
@@ -137,35 +141,24 @@ def conjugate_ratio_radical(n: int) -> float:
     return root * (1.0 - q) / (1.0 + q)
 
 
-def half_sum_terms(n: int, l: int | None = None) -> np.ndarray:
-    """`r_half_sums`' terms sin(m*pi/n)**2/den, m = 2kl (even mode) and (2k-1)l
-    (odd mode), k = 1..(n-1)/2: [even, odd] at l, or at every l in [0, n) as
-    [l, mode, k-1].  A term's bits depend only on m, so each distinct m goes
-    through `math.sin` once; numpy's IEEE division has the bits of `/`."""
+def r_half_sums(n: int) -> list[tuple[float, float]]:
+    """The even-mode and odd-mode halves of the resistance sum at every l in [0, n):
+    (4/n) * the sum over k = 1..(n-1)/2 of sin(m*pi/n)**2/den, m = 2kl (even mode) and
+    (2k-1)l (odd mode).  Both equal R(l)/2; they are returned separately so callers can
+    check it.  A term's bits depend only on m, so each distinct m goes through `math.sin`
+    once; numpy's IEEE division has the bits of `/`, and each sum adds its terms in k
+    order with the builtin `sum`."""
     n = SequenceContext(n).n
     ks = np.arange(1, (n - 1) // 2 + 1)
-    ms = np.multiply.outer(np.arange(n) if l is None else l, [2 * ks, 2 * ks - 1])
-    if l is None:  # every m is below n**2: a table indexed by m
-        seen = np.zeros(n * n, bool)
-        seen[ms] = True
-        terms = np.zeros(n * n)
-        terms[seen] = [math.sin(m * math.pi / n) ** 2 for m in np.flatnonzero(seen).tolist()]
-        terms = terms[ms]
-    else:  # one l's m are distinct
-        terms = np.array([[math.sin(m * math.pi / n) ** 2 for m in row] for row in ms.tolist()])
+    ms = np.multiply.outer(np.arange(n), [2 * ks, 2 * ks - 1])
+    seen = np.zeros(n * n, bool)  # every m is below n**2: a table indexed by m
+    seen[ms] = True
+    terms = np.zeros(n * n)
+    terms[seen] = [math.sin(m * math.pi / n) ** 2 for m in np.flatnonzero(seen).tolist()]
+    terms = terms[ms]
     terms /= [[n - 4.0 * math.sin(k * math.pi / n) ** 2 for k in ks.tolist()],
               [n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2 for k in ks.tolist()]]
-    return terms
-
-
-def r_half_sums(n: int, l: int, terms: np.ndarray | None = None) -> tuple[float, float]:
-    """The even-mode and odd-mode halves of the resistance sum.  Both direct
-    trigonometric sums equal R(l)/2; they are returned separately so callers
-    can check it.  Pass `half_sum_terms(n)` as `terms` to reuse it across l.
-    """
-    _validate_pair(n, l)
-    r1, r2 = ((4.0 / n) * sum(mode.tolist()) for mode in (half_sum_terms(n, l) if terms is None else terms[l]))
-    return r1, r2
+    return [((4.0 / n) * sum(even), (4.0 / n) * sum(odd)) for even, odd in terms.tolist()]
 
 
 def total_effective_resistance(n: int) -> Fraction:

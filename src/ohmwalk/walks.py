@@ -82,15 +82,14 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     whole sum less h(d) and the two non-neighbours).  Each value is reduced
     by the proved bound of `fpt_closed`, not by a full-size gcd.
     """
-    n = g.n
+    n, target = g.n, operator.index(target)
     if not 0 <= target < n:
         raise ValueError(f"target must be in [0, {n - 1}], got {target}")
     j = (n - 1) // 2
     if n % 2 == 0 or g.jumps != tuple(range(1, j)):
         raise ValueError(f"first-step analysis is certified on complete_minus_opposite(n) only, got C_{n}{g.jumps}")
     deg, edges, (xs, w) = g.degree, g.edge_count, resistance_numerators(n)
-    half = [edges * x for x in xs]  # numerators over w_n at d = 0..j
-    h = half + half[:0:-1]  # distances 0..n-1 from the target
+    h = [edges * x for x in xs]  # numerators over w_n at distances 0..n-1 from the target
     total = sum(h)
     others = set(range(1, n)).difference(g.neighbor_offsets())
     if h[0] or any(deg * h[d] - (total - h[d] - sum(h[(d + o) % n] for o in others)) != deg * w
@@ -98,7 +97,7 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
         raise ArithmeticError("the candidate fails a first-step equation; it is not returned")
     ctx = SequenceContext(n)  # the bound of fpt_closed, once per divisor s = gcd(d, n) of n
     bounds = {s: edges * resistance_gcd_bound(ctx, s) for s in range(1, j + 1) if n % s == 0}
-    values = [Fraction(0)] + [reduce_by(x, w, bounds[math.gcd(d, n)]) for d, x in enumerate(half[1:], 1)]
+    values = [Fraction(0)] + [reduce_by(x, w, bounds[math.gcd(d, n)]) for d, x in enumerate(h[1:j + 1], 1)]
     return [values[min(k, n - k)] for k in ((v - target) % n for v in range(n))]
 
 

@@ -79,8 +79,7 @@ def test_criterion_5_half_sum_equality():
     worst_pair = 0.0
     worst_closed = 0.0
     for n in range(5, 42, 2):
-        for l in range(1, n):
-            r1, r2 = r_half_sums(n, l)
+        for l, (r1, r2) in enumerate(r_half_sums(n)[1:], 1):
             closed = float(two_point_resistance(n, l)) / 2
             worst_pair = max(worst_pair, abs(r1 - r2))
             worst_closed = max(worst_closed, abs(r1 - closed))

@@ -14,7 +14,6 @@ from ohmwalk.exact import SequenceContext, conjugate_ratio, sequence_pair
 from ohmwalk.resistance import (
     conjugate_ratio_radical,
     eigentime_identity_check,
-    half_sum_terms,
     max_or_nan,
     r_half_sums,
     radical_pass,
@@ -43,9 +42,8 @@ from ohmwalk.spectral import (
         lambda n: two_point_resistance(n, 1),
         lambda n: two_point_resistance_radical(n, 1),
         conjugate_ratio_radical,
-        lambda n: r_half_sums(n, 1),
-        half_sum_terms,
-        lambda n: radical_pass(n, 1),
+        lambda n: r_half_sums(n),
+        lambda n: radical_pass(n),
         total_effective_resistance,
         eigentime_identity_check,
     ],
@@ -100,13 +98,15 @@ class TestTwoPointResistance:
 
 def _table_against_the_per_distance_route(n):
     # R(d) * w_n at every distance from one sequence pass against the per-d
-    # powering route: the value, and the bits check_half_sums reads as R(d)/2
+    # powering route: the value, and the bits check_half_sums reads as R(d)/2;
+    # the distances above (n - 1)/2 mirror those below
     xs, w = resistance_numerators(n)
-    assert len(xs) == (n + 1) // 2 and xs[0] == 0
-    for d in range(1, len(xs)):
+    assert len(xs) == n and xs[0] == 0
+    for d in range(1, (n + 1) // 2):
         exact = two_point_resistance(n, d)
         assert Fraction(xs[d], w) == exact, (n, d)
         assert xs[d] / w / 2.0 == float(exact) / 2, (n, d)
+        assert xs[n - d] == xs[d], (n, d)
 
 
 class TestResistanceTable:
@@ -119,10 +119,10 @@ class TestResistanceTable:
         _table_against_the_per_distance_route(n)
 
     def test_kirchhoff_index_is_n_times_the_half_table(self):
-        # the Kirchhoff index sums R over all pairs: n times R(1..(n-1)/2)
+        # the Kirchhoff index sums R over all pairs: n/2 times R(1..n-1)
         for n in range(5, 402, 2):
             xs, w = resistance_numerators(n)
-            assert total_effective_resistance(n) == n * Fraction(sum(xs), w), n
+            assert total_effective_resistance(n) == n * Fraction(sum(xs), 2 * w), n
 
     def test_domain_errors(self):
         for n in (3, 4, 6):
@@ -193,7 +193,7 @@ class TestRadicalRoute:
         # each l's own, against binary powers and the exact value, bit for bit
         cases = [(n, range(1, n)) for n in range(5, 102, 2)] + [(401, [200]), (1001, [500])]
         for n, ls in cases:
-            radical = radical_pass(n, (n - 1) // 2)
+            radical = radical_pass(n)
             for l in ls:
                 exact = float(two_point_resistance(n, l))
                 assert two_point_resistance_radical(n, l, radical) == two_point_resistance_radical(n, l) == exact, (n, l)
@@ -224,47 +224,35 @@ def _inline_half_sums(n, l):
 
 class TestHalfSums:
     def test_shared_denominators_change_no_bit(self):
-        # the terms' table, whose sines run once per distinct m, against the
-        # inline sums at every l; and the one-distance route up to n = 61
+        # every distance from one call, whose sines run once per distinct m,
+        # against the inline sums at every l
         for n in range(5, 202, 2):
-            terms = half_sum_terms(n)
+            sums = r_half_sums(n)
+            assert len(sums) == n and sums[0] == (0.0, 0.0)
             for l in range(1, n):
-                shared = r_half_sums(n, l, terms)
-                assert shared == _inline_half_sums(n, l), (n, l)
-                if n <= 61:
-                    assert shared == r_half_sums(n, l), (n, l)
+                assert sums[l] == _inline_half_sums(n, l), (n, l)
 
-    def test_check_calls_once_per_distance(self, monkeypatch):
+    def test_check_calls_once_per_n(self, monkeypatch):
         # perfbench times the resistance.half_sums layer at this binding
         calls = []
-
-        def spy(n, l, terms=None):
-            calls.append((l, terms))
-            return r_half_sums(n, l, terms)
-
-        monkeypatch.setattr(checks, "r_half_sums", spy)
-        n = 31
-        assert checks.check_half_sums(n, 1e-9).passed
-        assert [l for l, _ in calls] == list(range(1, n))
-        assert np.array_equal(calls[0][1], half_sum_terms(n))
-        # one table of terms per n, shared by every distance
-        assert all(t is calls[0][1] for _, t in calls)
+        monkeypatch.setattr(checks, "r_half_sums", lambda n: calls.append(n) or r_half_sums(n))
+        assert checks.check_half_sums(31, 1e-9).passed
+        assert calls == [31]
 
     def test_seven(self):
-        r1, r2 = r_half_sums(7, 1)
+        r1, r2 = r_half_sums(7)[1]
         closed = float(two_point_resistance(7, 1)) / 2
         assert r1 == pytest.approx(19 / 91, rel=1e-12)
         assert abs(r1 - r2) < 1e-14
         assert abs(r1 - closed) < 1e-14
 
     def test_five(self):
-        r1, r2 = r_half_sums(5, 2)
+        r1, r2 = r_half_sums(5)[2]
         assert r1 == pytest.approx(0.6, abs=1e-12)
         assert r2 == pytest.approx(0.6, abs=1e-12)
 
     def test_nine_all_distances(self):
-        for l in range(1, 9):
-            r1, r2 = r_half_sums(9, l)
+        for l, (r1, r2) in enumerate(r_half_sums(9)[1:], 1):
             closed = float(two_point_resistance(9, l)) / 2
             assert abs(r1 - r2) < 1e-10
             assert abs(r1 - closed) < 1e-9

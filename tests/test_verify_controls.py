@@ -134,11 +134,12 @@ CONTROLS = {
         shifted(spectral.folded_alternating, 1),
         at_every_n("power_sums"),
     ),
-    # R(l)'s numerator over w_n, which two_point_resistance and fpt_closed share
+    # R(l)'s numerator over w_n, which two_point_resistance and fpt_closed
+    # share and the sequence row holds to the table of every distance
     "exact_resistance_skew": (
         resistance._resistance_numerator,
         ratio_scaled(resistance._resistance_numerator, Fraction(10**7 + 1, 10**7)),
-        at_every_n("resistance_oracles", "markov_fpt"),
+        at_every_n("resistance_oracles", "markov_fpt", "sequence_identities"),
     ),
     # the sequence row asserts the bound at every l; fpt_closed and markov_fpt
     # reduce by the same wrong bound, so they still agree with each other.  At
@@ -148,12 +149,13 @@ CONTROLS = {
         shifted(exact.resistance_gcd_bound, 1),
         {("sequence_identities", "9")},
     ),
-    # the one table per n that half_sums reads R(l)/2 from and markov_fpt
-    # certifies: the certificate refuses it at h(target) != 0
+    # the one table per n that half_sums reads R(l)/2 from, markov_fpt
+    # certifies and the sequence row holds to the per-l route: the
+    # certificate refuses it at h(target) != 0
     "resistance_table_skew": (
         resistance.resistance_numerators,
         table_shifted(resistance.resistance_numerators, 10**7),
-        at_every_n("half_sums", "markov_fpt"),
+        at_every_n("half_sums", "markov_fpt", "sequence_identities"),
     ),
     "radical_resistance_skew": (
         resistance.two_point_resistance_radical,
@@ -226,18 +228,13 @@ CONTROLS = {
         mutant(walks.markov_fpt, ".difference(g.neighbor_offsets())", ".difference([*g.neighbor_offsets()[1:], j])"),
         at_every_n("markov_fpt"),
     ),
-    # the reflection fold of the candidate, without its mirror
+    # the table's reflection R(n - l) == R(l), without its mirror: the
+    # distances above (n-1)/2 read R(1..(n-1)/2) in rising order, and the
+    # certificate refuses them
     "fold_mirror_dropped": (
-        walks.markov_fpt,
-        mutant(walks.markov_fpt, "h = half + half[:0:-1]", "h = half + half[1:]"),
-        at_every_n("markov_fpt"),
-    ),
-    # R(l) == R(n - l) unfolded where half_sums reads its table: a distance
-    # above (n-1)/2 reads past the end of R(0..(n-1)/2), so the check raises
-    "distance_fold_dropped": (
-        checks.check_half_sums,
-        mutant(checks.check_half_sums, "xs[min(l, n - l)]", "xs[l]"),
-        at_every_n("half_sums"),
+        resistance.resistance_numerators,
+        mutant(resistance.resistance_numerators, "half + half[:0:-1]", "half + half[1:]"),
+        at_every_n("half_sums", "markov_fpt"),
     ),
     "all_resistances_skew": (
         spectral.spectral_resistance,
@@ -263,7 +260,7 @@ CONTROLS = {
     ),
     "nan_odd_half_sum": (
         resistance.r_half_sums,
-        nan_item(resistance.r_half_sums, 1, lambda n, l, *rest: l == 3),
+        nan_item(resistance.r_half_sums, (3, 1)),
         at_every_n("half_sums"),
     ),
     # R(2) and R(n - 2) from the one FFT that gives every distance; at n = 5
@@ -287,8 +284,7 @@ CONTROLS = {
 
 
 # the controls whose check raises; any other fails on its deviation
-RAISING = {"certificate_term_off_by_one", "certificate_offset_swapped", "fold_mirror_dropped", "distance_fold_dropped",
-           "resistance_table_skew"}
+RAISING = {"certificate_term_off_by_one", "certificate_offset_swapped", "fold_mirror_dropped", "resistance_table_skew"}
 
 
 def failed_rows(capsys):

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from ohmwalk import _walk_np, _walk_py, checks, walks
 from ohmwalk.circulant import CirculantGraph, complete_graph, complete_minus_opposite, cycle_graph
 from ohmwalk.exact import SequenceContext, half_index_pair, sequence_pair
-from ohmwalk.resistance import total_effective_resistance, two_point_resistance, two_point_resistance_radical
+from ohmwalk.resistance import (
+    resistance_report,
+    total_effective_resistance,
+    two_point_resistance,
+    two_point_resistance_radical,
+)
 from ohmwalk.spectral import series_identities, spectral_resistance
 from ohmwalk.walks import (
     WalkConfig,
@@ -427,6 +432,7 @@ class TestNumpyIntegers:
     """A numpy integer is stored as the Python int it equals, so the big-integer
     routes cannot overflow int64 and the estimate holds no numpy scalar."""
 
+    # with a numpy n, n // 3 is a numpy distance too
     ROUTES = {
         "total_effective_resistance": total_effective_resistance,
         "two_point_resistance": lambda n: two_point_resistance(n, n // 3),
@@ -436,6 +442,8 @@ class TestNumpyIntegers:
         "mfpt_closed_paper": lambda n: mfpt_closed(n, "paper"),
         "sequence_pair": lambda n: sequence_pair(SequenceContext(n), 40),
         "two_point_resistance_radical": lambda n: two_point_resistance_radical(n, n // 3),
+        "resistance_report": lambda n: resistance_report(n, n // 3),
+        "markov_fpt": lambda n: markov_fpt(complete_minus_opposite(n), n // 3),
         "series_identities": lambda n: series_identities(n, 50),
     }
 
@@ -468,6 +476,19 @@ class TestNumpyIntegers:
     def test_a_float_is_refused(self, entry):
         with pytest.raises(TypeError):
             entry(7.0)
+
+    @pytest.mark.parametrize("l", [37.0, 37.5])
+    @pytest.mark.parametrize("route", [
+        two_point_resistance,
+        fpt_closed,
+        two_point_resistance_radical,
+        resistance_report,
+        lambda n, l: markov_fpt(complete_minus_opposite(n), l),
+    ])
+    def test_a_float_distance_is_refused(self, route, l):
+        # refused before any work, with operator.index's one message
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            route(101, l)
 
 
 class TestSimulate:
