@@ -9,6 +9,8 @@ and is (n-3)-regular.
 
 from __future__ import annotations
 
+__all__ = ["CirculantGraph", "complete_graph", "complete_minus_opposite", "cycle_graph"]
+
 import math
 import operator
 from dataclasses import dataclass

@@ -28,6 +28,9 @@ integers are unbounded and rationals are `fractions.Fraction`.
 
 from __future__ import annotations
 
+__all__ = ["SequenceContext", "bejaia", "bejaia_sequence", "conjugate_ratio", "pisa", "pisa_sequence",
+           "sum_bejaia_even", "sum_bejaia_squares"]
+
 import decimal
 import functools
 import math

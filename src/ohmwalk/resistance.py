@@ -31,6 +31,9 @@ Laplacian eigenvalue sum, and the half sums (every l from one
 
 from __future__ import annotations
 
+__all__ = ["ResistanceReport", "eigentime_identity_check", "r_half_sums", "resistance_report",
+           "total_effective_resistance", "two_point_resistance", "two_point_resistance_radical"]
+
 import math
 import operator
 from collections import namedtuple
@@ -158,7 +161,7 @@ def r_half_sums(n: int) -> list[tuple[float, float]]:
     terms = terms[ms]
     terms /= [[n - 4.0 * math.sin(k * math.pi / n) ** 2 for k in ks.tolist()],
               [n - 4.0 * math.cos((2 * k - 1) * math.pi / (2 * n)) ** 2 for k in ks.tolist()]]
-    return [((4.0 / n) * sum(even), (4.0 / n) * sum(odd)) for even, odd in terms.tolist()]
+    return [((4.0 / n) * sum(even), (4.0 / n) * sum(odd)) for even, odd in map(np.ndarray.tolist, terms)]
 
 
 def total_effective_resistance(n: int) -> Fraction:

@@ -12,6 +12,9 @@ unbounded integers and converted to double only at the last step.
 
 from __future__ import annotations
 
+__all__ = ["chebyshev_normalized", "cos_odd_power_sum", "eigenvalues_circulant", "eigenvalues_minus_opposite",
+           "reciprocal_sum", "series_identities", "sin_power_sum", "spectral_resistance"]
+
 import math
 from collections import namedtuple
 from fractions import Fraction

@@ -15,6 +15,9 @@ sums, so results never depend on chunking, pool slots or execution order.
 
 from __future__ import annotations
 
+__all__ = ["FptEstimate", "WalkConfig", "fpt_closed", "kernel_backend", "markov_fpt", "mfpt_closed",
+           "simulate_fpt"]
+
 import math
 import operator
 from dataclasses import dataclass
@@ -95,9 +98,9 @@ def markov_fpt(g: CirculantGraph, target: int) -> list[Fraction]:
     if h[0] or any(deg * h[d] - (total - h[d] - sum(h[(d + o) % n] for o in others)) != deg * w
                    for d in range(1, j + 1)):
         raise ArithmeticError("the candidate fails a first-step equation; it is not returned")
-    ctx = SequenceContext(n)  # the bound of fpt_closed, once per divisor s = gcd(d, n) of n
-    bounds = {s: edges * resistance_gcd_bound(ctx, s) for s in range(1, j + 1) if n % s == 0}
-    values = [Fraction(0)] + [reduce_by(x, w, bounds[math.gcd(d, n)]) for d, x in enumerate(h[1:j + 1], 1)]
+    ctx = SequenceContext(n)  # the bound of fpt_closed; the context's power memo holds each w_s
+    values = [Fraction(0)] + [reduce_by(x, w, edges * resistance_gcd_bound(ctx, d))
+                              for d, x in enumerate(h[1:j + 1], 1)]
     return [values[min(k, n - k)] for k in ((v - target) % n for v in range(n))]
 
 

@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -10,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import digit_limit
 
 from ohmwalk import checks, cli, resistance, walks
 from ohmwalk.exact import SequenceContext, bejaia_sequence
@@ -23,17 +23,6 @@ def residue(digits, p):
         chunk = digits[i : i + 1000]
         r = (r * pow(10, len(chunk), p) + int(chunk)) % p
     return r
-
-
-@contextlib.contextmanager
-def digit_limit(limit):
-    """Sets the int <-> str digit limit inside the block; 0 lifts it."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture

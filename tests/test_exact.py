@@ -1,11 +1,11 @@
 import math
 import pickle
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from helpers import as_pair, digit_limit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -380,10 +380,6 @@ def unreduced_resistance(n, l):
     return b * (p * w - (n - 4) * u * b), w
 
 
-def as_pair(x):
-    return x.numerator, x.denominator
-
-
 class TestReduction:
     @given(n=ODD_N_TO_401)
     @example(n=9)
@@ -461,20 +457,6 @@ class TestReduceBy:
     def test_any_multiple_of_the_gcd_gives_the_constructor(self, num, den, k):
         got = reduce_by(num, den, k * math.gcd(num, den))
         assert as_pair(got) == as_pair(Fraction(num, den)) and hash(got) == hash(Fraction(num, den))
-
-
-class digit_limit:
-    """Sets the int <-> str digit limit inside the block; 0 lifts it."""
-
-    def __init__(self, limit):
-        self.limit = limit
-
-    def __enter__(self):
-        self.old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(self.limit)
-
-    def __exit__(self, *exc):
-        sys.set_int_max_str_digits(self.old)
 
 
 def _special(bits):

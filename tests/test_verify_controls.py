@@ -10,7 +10,6 @@ suite's one exception boundary and to the benchmark's spans.
 """
 
 import importlib.util
-import inspect
 import json
 import math
 import sys
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import mutant
 
 from ohmwalk import _walk_np, checks, circulant, cli, exact, resistance, spectral, walks
 
@@ -30,15 +30,6 @@ def plant(monkeypatch, fn, faulty):
     for module in MODULES:
         if getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, faulty)
-
-
-def mutant(fn, old, new):
-    """`fn` recompiled from its own source with `old` replaced by `new`."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1
-    namespace = dict(fn.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
-    return namespace[fn.__name__]
 
 
 def scaled(fn, factor):

@@ -1,9 +1,9 @@
-import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import as_pair, mutant
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -85,11 +85,6 @@ def _full_gcd_fpt(n, l):
     return x.numerator, x.denominator
 
 
-def _pair(x):
-    assert type(x) is Fraction
-    return x.numerator, x.denominator
-
-
 # (n, distances): both ends of the range, and distances whose s = gcd(l, n),
 # and so the reduction bound 8*w_s**2, is large
 LARGE_GCD_CASES = [(1001, (1, 500)), (2001, (1, 1000)), (729, (81, 243)), (2025, (405, 675)),
@@ -106,12 +101,12 @@ class TestClosedForms:
         # reduced by |E| * resistance_gcd_bound, as the full-size gcds reduce it
         for n in range(5, 402, 2):
             for l in range(1, n):
-                assert _pair(fpt_closed(n, l)) == _full_gcd_fpt(n, l), (n, l)
+                assert as_pair(fpt_closed(n, l)) == _full_gcd_fpt(n, l), (n, l)
 
     @pytest.mark.parametrize("n, ls", LARGE_GCD_CASES)
     def test_fpt_equals_the_constructor_at_large_n(self, n, ls):
         for l in ls:
-            assert _pair(fpt_closed(n, l)) == _pair(fpt_closed(n, n - l)) == _full_gcd_fpt(n, l), l
+            assert as_pair(fpt_closed(n, l)) == as_pair(fpt_closed(n, n - l)) == _full_gcd_fpt(n, l), l
 
     def test_cycle_fpt_is_l_times_n_minus_l(self):
         for l in range(1, 5):
@@ -240,21 +235,21 @@ class TestMarkovOracle:
         # n <= 401 test_equals_fpt_closed_at_every_l and test_fpt_equals_the_constructor hold it;
         # markov_fpt takes seconds at 10001, which test_fpt_equals_the_constructor_at_large_n covers
         h = markov_fpt(complete_minus_opposite(n), 0)
-        assert _pair(h[0]) == (0, 1)
+        assert as_pair(h[0]) == (0, 1)
         for l in ls:
-            assert _pair(h[l]) == _pair(h[n - l]) == _full_gcd_fpt(n, l), l
+            assert as_pair(h[l]) == as_pair(h[n - l]) == _full_gcd_fpt(n, l), l
 
     @pytest.mark.parametrize("n", [13, 61, 101, 401, 1001])
     def test_a_faulted_candidate_term_raises(self, n):
         # |E| R(5) off by 1/w_n, a low-order error that floats at a tolerance miss
-        faulty = _mutant(markov_fpt, "    total = sum(h)", "    h[5] += 1\n    total = sum(h)")
+        faulty = mutant(markov_fpt, "    total = sum(h)", "    h[5] += 1\n    total = sum(h)")
         with pytest.raises(ArithmeticError, match="it is not returned"):
             faulty(complete_minus_opposite(n), 0)
 
     @pytest.mark.parametrize("n", [13, 61, 101])
     def test_a_faulted_neighbour_offset_raises(self, n):
         # the offset 1 read as (n - 1)/2, which is not a neighbour
-        faulty = _mutant(markov_fpt, ".difference(g.neighbor_offsets())",
+        faulty = mutant(markov_fpt, ".difference(g.neighbor_offsets())",
                          ".difference([*g.neighbor_offsets()[1:], j])")
         with pytest.raises(ArithmeticError, match="it is not returned"):
             faulty(complete_minus_opposite(n), 0)
@@ -344,15 +339,6 @@ class TestMarkovOracle:
         g = complete_minus_opposite(n)
         for target in (0, n // 2, n - 1):
             assert markov_fpt(g, target) == [closed[(v - target) % n] for v in range(n)]
-
-
-def _mutant(fn, old, new):
-    """`fn` recompiled from its own source with `old` replaced by `new`."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1
-    namespace = dict(fn.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
-    return namespace[fn.__name__]
 
 
 # Above the sizes where Fraction elimination is quick, first-step analysis
