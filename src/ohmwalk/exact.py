@@ -122,14 +122,14 @@ def bejaia_sequence(ctx: SequenceContext, count: int) -> list[int]:
     """First `count` terms B_0 .. B_{count-1}."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return sequence_pair(ctx, max(count - 1, 1))[0][:count]
+    return sequence_pair(ctx, count - 1)[0]
 
 
 def pisa_sequence(ctx: SequenceContext, count: int) -> list[int]:
     """First `count` terms P_0 .. P_{count-1}."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return sequence_pair(ctx, max(count - 1, 1))[1][:count]
+    return sequence_pair(ctx, count - 1)[1]
 
 
 def sum_bejaia_even(ctx: SequenceContext, n: int) -> Fraction:
@@ -198,17 +198,11 @@ def reduce_by(num: int, den: int, bound: int) -> Fraction:
     return x
 
 
-STR_SPLIT_BITS = 1 << 11  # str() sees <= 617 digits, within any int->str limit (CPython allows >= 640)
-
-
 def decimal_str(x: int) -> str:
-    """str(x), subquadratic above STR_SPLIT_BITS bits: both halves of x's
-    bits go recursively to exact `decimal.Decimal`s, joined as hi*2**h + lo
-    with libmpdec's number-theoretic-transform multiply.  This is the
-    method of CPython 3.12's `_pylong.int_to_decimal_string`."""
-    if abs(x).bit_length() <= STR_SPLIT_BITS:
-        return str(x)
-
+    """str(x) in subquadratic time and under any int->str digit limit: both
+    halves of x's bits go recursively to exact `decimal.Decimal`s, joined as
+    hi*2**h + lo with libmpdec's number-theoretic-transform multiply.  This
+    is the method of CPython 3.12's `_pylong.int_to_decimal_string`."""
     @functools.cache  # local, so it lives for this call only
     def pow2(k: int) -> decimal.Decimal:
         return decimal.Decimal(2) ** k if k <= 128 else pow2(k >> 1) * pow2(k - (k >> 1))

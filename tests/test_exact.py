@@ -9,9 +9,7 @@ from helpers import as_pair, digit_limit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ohmwalk import exact
 from ohmwalk.exact import (
-    STR_SPLIT_BITS,
     SequenceContext,
     bejaia,
     bejaia_sequence,
@@ -209,6 +207,13 @@ class TestSequences:
         ctx = SequenceContext(7)
         assert bejaia_sequence(ctx, 8) == [0, 1, 5, 24, 115, 551, 2640, 12649]
         assert pisa_sequence(SequenceContext(5), 6) == [2, 3, 7, 18, 47, 123]
+
+    @pytest.mark.parametrize("n", [5, 7, 101])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_shortest_sequences_are_the_first_terms(self, n, count):
+        ctx = SequenceContext(n)
+        assert bejaia_sequence(ctx, count) == [bejaia(ctx, l) for l in range(count)]
+        assert pisa_sequence(ctx, count) == [pisa(ctx, l) for l in range(count)]
 
     def test_negative_index_conventions(self):
         ctx = SequenceContext(9)
@@ -463,8 +468,8 @@ def _special(bits):
     return st.sampled_from([2**bits, 2**bits - 1, 2**bits + 1, 10 ** (bits * 3 // 10), 10 ** (bits * 3 // 10) - 1])
 
 
-# 3 * 2**15 bits: 48 times the split, so the recursion runs several levels deep
-SPANNING_BITS = st.integers(0, 48 * STR_SPLIT_BITS)
+# up to 3 * 2**15 bits, so the recursion runs several levels deep
+SPANNING_BITS = st.integers(0, 3 * 2**15)
 
 
 class TestDecimalStr:
@@ -486,24 +491,25 @@ class TestDecimalStr:
         "x",
         [0, 1, -1, 7, 2**127, 2**128 - 1, 2**128, 2**129 + 1, -(2**129), 10**38, 10**39 - 1, 3**500],
     )
-    def test_the_split_itself_on_small_values(self, x, monkeypatch):
-        monkeypatch.setattr(exact, "STR_SPLIT_BITS", 0)
+    def test_the_split_itself_on_small_values(self, x):
         assert decimal_str(x) == str(x)
 
-    def test_values_straddling_the_threshold(self):
+    def test_values_from_2047_to_4099_bits(self):
         with digit_limit(0):
-            for bits in (STR_SPLIT_BITS - 1, STR_SPLIT_BITS, STR_SPLIT_BITS + 1, 2 * STR_SPLIT_BITS + 3):
+            for bits in (2047, 2048, 2049, 4099):
                 for x in (2**bits - 1, 2**bits, 2**bits + 1, -(2**bits) - 1):
                     assert decimal_str(x) == str(x), (bits, x)
 
     @pytest.mark.parametrize(
         "x",
-        [10**5000, 10**9000, 10**9900, -(10**9900) - 1, 2**131071 - 1, random.Random(5).getrandbits(1 << 17)],
-        ids=["10**5000", "10**9000", "10**9900", "-(10**9900)-1", "2**131071-1", "random 2**17 bits"],
+        [0, 1, -1, 2**127, 2**128, 2**2048 - 1, 2**2048 + 1, 10**600,
+         10**5000, 10**9000, 10**9900, -(10**9900) - 1, 2**131071 - 1, random.Random(5).getrandbits(1 << 17)],
+        ids=["0", "1", "-1", "2**127", "2**128", "2**2048-1", "2**2048+1", "10**600",
+             "10**5000", "10**9000", "10**9900", "-(10**9900)-1", "2**131071-1", "random 2**17 bits"],
     )
     def test_holds_at_the_least_digit_limit(self, x):
-        # 640 is the least limit CPython accepts; str() below the split
-        # never meets it, and the split itself converts no int to str
+        # 640 is the least limit CPython accepts; the split converts no int
+        # to str, whatever the size of x
         with digit_limit(0):
             expected = str(x)
         with digit_limit(640):

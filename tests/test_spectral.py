@@ -266,34 +266,23 @@ class TestChebyshev:
 
 
 def _reference_series_sums(n, checkpoints):
-    """The four truncated series of `series_identities` by a factorial table
-    and one binomial per fold, as the walk's direct reference: the sums
-    (central, alternating, even, odd) at each truncation in `checkpoints`,
-    with the same envelope cut-off."""
+    """The four truncated series of `series_identities` with one binomial
+    per fold, each carried down its column by C(2J, J-m) = C(2J-2, J-1-m) *
+    2J(2J-1) / ((J-m)(J+m)), as the walk's direct reference: the sums
+    (central, alternating, even, odd) at each truncation in `checkpoints`.
+    Its own cut-off is the guarded one: past row 2n, three rows whose
+    envelope is 0.0."""
     top = max(checkpoints)
-    fact = [1] * (2 * top + 1)
-    for i in range(1, len(fact)):
-        fact[i] = fact[i - 1] * i
-
-    def comb(a, b):
-        return fact[a] // (fact[b] * fact[a - b])
-
+    cols = []  # cols[p] = C(2J, J - p*n) for row J and p*n <= J; cols[0] is central
     t_central = t_alt = t_even = t_odd = 0.0
     npow = 1
     dead = 0
     sums = {}
     for big_j in range(top + 1):
-        central = comb(2 * big_j, big_j)
-        s_even = 0
-        s_odd = 0
-        p = 1
-        while big_j - p * n >= 0:
-            c = comb(2 * big_j, big_j - p * n)
-            if p % 2 == 0:
-                s_even += c
-            else:
-                s_odd += c
-            p += 1
+        cols = [c * (2 * big_j * (2 * big_j - 1)) // ((big_j - p * n) * (big_j + p * n)) for p, c in enumerate(cols)]
+        if big_j % n == 0:
+            cols.append(1)  # C(2J, 0) opens the column p = J/n
+        central, s_even, s_odd = cols[0], sum(cols[2::2]), sum(cols[1::2])
         t_central += central / npow
         t_alt += (s_even - s_odd) / npow
         t_even += s_even / npow
@@ -355,6 +344,18 @@ class TestSeriesIdentities:
             report = series_identities(n, truncation)
             got = tuple(i.truncated for i in report)
             assert got == expected[truncation], (n, truncation)
+
+    @pytest.mark.parametrize("n", [5, 7, 13, 101, 10001])
+    def test_walk_stops_at_the_first_zero_envelope(self, n):
+        # J*: the first row whose envelope C(2J,J)*(J+2n)/n**(J+1) is 0.0
+        j, central, npow = 0, 1, 1
+        while (central * (j + 2 * n)) / (npow * n) != 0.0:
+            j, central, npow = j + 1, central * (4 * j + 2) // (j + 1), npow * n
+        checkpoints = (j - 1, j, j + 1, j + 3)
+        expected = _reference_series_sums(n, checkpoints)
+        for truncation in checkpoints:
+            report = series_identities(n, truncation)
+            assert tuple(i.truncated for i in report) == expected[truncation], (n, truncation)
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
     def test_walk_folded_sums_match_folded_alternating(self, n):
