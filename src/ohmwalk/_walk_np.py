@@ -61,9 +61,8 @@ def run_trials(
     trial_offset: int = 0,
 ) -> tuple[int, int, int]:
     """Same contract and result as `_walk_py.run_trials`: (sum of steps,
-    sum of squared steps, number of truncated trials)."""
-    if source == target or not max_steps:  # no trial takes a step
-        return _walk_py.run_trials(n, offsets, source, target, trials, seed, max_steps, trial_offset)
+    sum of squared steps, number of truncated trials), for source != target
+    and max_steps >= 1, which `simulate_fpt` and `WalkConfig` enforce."""
     offs = np.asarray([o % n for o in offsets], dtype=np.uint64)
     deg = np.uint64(len(offsets))
     rem = (1 << 64) % len(offsets)  # 0: every draw is accepted

@@ -95,12 +95,21 @@ def power_pair(ctx: SequenceContext, k: int) -> tuple[int, int]:
 
 
 def half_index_pair(ctx: SequenceContext, k: int | None = None) -> tuple[int, int]:
-    """(u_k, w_k), psi**k = (w_k*sqrt(n) + u_k*sqrt(n-4))/2, for odd k >= 1
-    (default n) from (B_j, P_j), j = (k-1)/2.  gcd(u_n, w_n) is 1 or 2:
-    its square divides the norm n*w_n**2 - (n-4)*u_n**2 = 4."""
-    n = ctx.n
-    b, p = power_pair(ctx, ((n if k is None else k) - 1) // 2)
-    return (p + n * b) // 2, (p + (n - 4) * b) // 2
+    """(u_k, w_k), psi**k = (w_k*sqrt(n) + u_k*sqrt(n-4))/2, for odd k >= 1 from (B_j, P_j),
+    j = (k-1)/2: an explicit k powered in `ctx`, the default k = n, which every closed form at
+    n reads, from a one-entry memo keyed by n (callers group their work by n; one pair of
+    ~n*log2(n)/2-bit integers is held).  gcd(u_n, w_n) is 1 or 2: its square divides the
+    norm n*w_n**2 - (n-4)*u_n**2 = 4."""
+    if k is None:
+        return _half_index_pair_n(ctx.n)
+    b, p = power_pair(ctx, (k - 1) // 2)
+    return (p + ctx.n * b) // 2, (p + (ctx.n - 4) * b) // 2
+
+
+@functools.lru_cache(maxsize=1)
+def _half_index_pair_n(n: int) -> tuple[int, int]:
+    """(u_n, w_n), powered in a context of its own: the held pair never depends on a caller's."""
+    return half_index_pair(SequenceContext(n), n)
 
 
 def bejaia(ctx: SequenceContext, l: int) -> int:

@@ -8,7 +8,8 @@ T = d*B_n/(P_n+2) (see `exact.conjugate_ratio`),
 
 extended by the symmetry R(l) = R(n-l).  It is evaluated from two pairs
 only: (B_l, P_l) by binary powering, with B_{2l} = B_l * P_l, and the
-half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n (see `exact`):
+half-index pair (u_n, w_n), with T = (n-4)*u_n/w_n, which `exact` powers
+once per n and holds for the next closed form at the same n:
 
     R(l) = B_l * (P_l*w_n - (n-4)*u_n*B_l) / w_n,
     Kirchhoff index = n*u_n/w_n - 1.
@@ -67,7 +68,7 @@ def _resistance_numerator(ctx: SequenceContext, l: int) -> tuple[int, int]:
 
 def two_point_resistance(n: int, l: int) -> Fraction:
     """Exact resistance between vertices at circular distance l, reduced by the constructor's
-    full-size gcd (see above), which runs with no context alive: its memo holds (B_j, P_j)."""
+    full-size gcd (see above), which runs with no context alive: its memo holds l's powers."""
     return Fraction(*_resistance_numerator(*_validate_pair(n, l)))
 
 

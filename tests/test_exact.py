@@ -9,6 +9,7 @@ from helpers import as_pair, digit_limit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ohmwalk import exact
 from ohmwalk.exact import (
     SequenceContext,
     bejaia,
@@ -26,6 +27,7 @@ from ohmwalk.exact import (
     sum_bejaia_squares,
 )
 from ohmwalk.resistance import total_effective_resistance, two_point_resistance
+from ohmwalk.walks import fpt_closed, mfpt_closed
 
 
 @dataclass(frozen=True)
@@ -375,6 +377,34 @@ class TestPowering:
         ctx = SequenceContext(n)
         b, p = power_pair(ctx, k)
         assert phi(ctx) ** k == QuadElem(Fraction(p, 2), Fraction(b, 2), ctx.d)
+
+
+class TestHalfIndexMemo:
+    memo = staticmethod(exact._half_index_pair_n)
+
+    def test_held_pair_equals_a_fresh_powering(self):
+        # interleaved n, each read through a caller's context against the
+        # pair powered in a fresh one; one n held at a time
+        for n in (5, 7, 5, 401, 7, 10001, 5):
+            assert half_index_pair(SequenceContext(n)) == half_index_pair(SequenceContext(n), n), n
+            assert self.memo.cache_info().currsize == 1
+        assert half_index_pair(SequenceContext(5)) == (11, 5)
+        assert self.memo.cache_info().maxsize == 1
+
+    def test_large_n_pattern_misses_once_per_n(self):
+        # the benchmark's exact_large_n body: R at four distances, then the
+        # Kirchhoff index, an FPT and the MFPT, at 3001 and then at 10001
+        self.memo.cache_clear()
+        for _ in range(3):
+            before = self.memo.cache_info()
+            for n in (3001, 10001):
+                for l in (1, 2, n - 5, (n - 1) // 2):
+                    two_point_resistance(n, l)
+                total_effective_resistance(n)
+                fpt_closed(n, 2)
+                mfpt_closed(n)
+            after = self.memo.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits, after.currsize) == (2, 12, 1)
 
 
 def unreduced_resistance(n, l):

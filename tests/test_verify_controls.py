@@ -9,6 +9,7 @@ the end hold `checks.ROWS`, the table of rows, to these controls, to the
 suite's one exception boundary and to the benchmark's spans.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -26,10 +27,16 @@ MODULES = (exact, circulant, spectral, resistance, walks, checks, cli, _walk_np)
 
 
 def plant(monkeypatch, fn, faulty):
-    """Rebind `fn` to `faulty` in every module that binds it."""
+    """Rebind `fn` to `faulty` in every module that binds it.  Unless the
+    fault is in it, the one-entry memo of (u_n, w_n) is an empty one of its
+    own while the fault stands: no pair held from before hides the fault,
+    and none powered under it outlives it."""
+    memo = exact._half_index_pair_n
     for module in MODULES:
         if getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, faulty)
+    if fn is not memo:
+        monkeypatch.setattr(exact, memo.__name__, functools.lru_cache(maxsize=1)(memo.__wrapped__))
 
 
 def scaled(fn, factor):
@@ -49,6 +56,14 @@ def ratio_scaled(fn, factor):
     def faulty(*args):
         num, den = fn(*args)
         return num * factor.numerator, den * factor.denominator
+    return faulty
+
+
+def held_swapped(memo):
+    """A one-entry memo like `memo` that holds (w_n, u_n) for (u_n, w_n)."""
+    @functools.lru_cache(maxsize=1)
+    def faulty(n):
+        return memo.__wrapped__(n)[::-1]
     return faulty
 
 
@@ -148,6 +163,13 @@ CONTROLS = {
         table_shifted(resistance.resistance_numerators, 10**7),
         at_every_n("half_sums", "markov_fpt", "sequence_identities"),
     ),
+    # the CLI's single-distance route powers the unit to l; the pass takes
+    # its first power, l = 1, from the same terms, where * l is ** l
+    "radical_single_power": (
+        resistance._radical_terms,
+        mutant(resistance._radical_terms, "((n - 2 + root) / 2) ** l", "((n - 2 + root) / 2) * l"),
+        at_every_n("resistance_oracles"),
+    ),
     "radical_resistance_skew": (
         resistance.two_point_resistance_radical,
         scaled(resistance.two_point_resistance_radical, 1 + 1e-8),
@@ -172,14 +194,24 @@ CONTROLS = {
     ),
     # power_pair returns the pair it computed but remembers a wrong one, so
     # only a later call in one context that reaches a remembered k, as k or
-    # as one of its k >> i, sees the fault: the sequence row's later calls,
-    # and the half-index pair of two_point_resistance and fpt_closed, whose
-    # chain meets l's at least at k = 1.  The first call's chain is right,
-    # so conjugate_ratio and the Kirchhoff index, one call each, pass
+    # as one of its k >> i, sees the fault: the sequence row's later calls.
+    # (u_n, w_n) is powered once per n in a context of its own, a first
+    # chain and so right, and R(l) and |E|*R(l) power l in a fresh context.
+    # fpt_closed's bound at (9, 3) reads the remembered k = 1 and is wrong,
+    # 27*8*8**2 for 27*8*6**2, but still a multiple of the gcd 18
     "power_memo_corrupted": (
         exact.power_pair,
         mutant(exact.power_pair, "ctx._powers[k] = b, p", "ctx._powers[k] = b + 1, p"),
-        at_every_n("sequence_identities", "resistance_oracles", "markov_fpt"),
+        at_every_n("sequence_identities"),
+    ),
+    # the one-entry memo hands out its pair swapped: every row that reads
+    # (u_n, w_n) fails, and so does the walk's z-test against the wrong FPT
+    # at n = 7
+    "half_index_memo_corrupted": (
+        exact._half_index_pair_n,
+        held_swapped(exact._half_index_pair_n),
+        at_every_n("resistance_oracles", "symmetry_identity", "sequence_identities", "conjugate_ratio",
+                   "eigentime", "markov_fpt") | {("monte_carlo", "7")},
     ),
     # P_2k = P_k**2 - 2 with the sign flipped: every pair past k = 0 is
     # wrong, so every row that powers phi fails, and so does the walk's z-test
@@ -305,6 +337,18 @@ def test_fault_fails_exactly_its_rows(capsys, monkeypatch, control):
     assert out.rstrip().endswith("FAILURES PRESENT")
     assert failed == rows
     assert (" raised " in out) == (control in RAISING)
+
+
+def test_no_planted_fault_outlives_its_test(capsys, monkeypatch):
+    # n = 5's pair is held before the fault, and verify ends on the Monte
+    # Carlo row at n = 7, whose pair is powered under it: the fault must see
+    # neither the first nor leave the second
+    fn, faulty, rows = CONTROLS["power_doubling_sign"]
+    assert walks.fpt_closed(5, 1) == 4
+    plant(monkeypatch, fn, faulty)
+    assert failed_rows(capsys)[::2] == (3, rows)
+    monkeypatch.undo()
+    assert (walks.fpt_closed(5, 1), walks.fpt_closed(7, 1)) == (4, Fraction(76, 13))
 
 
 @pytest.mark.parametrize("control", sorted(c for c in CONTROLS if c.startswith("nan_")))

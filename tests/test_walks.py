@@ -517,10 +517,17 @@ class TestSimulate:
         assert _walk_py.run_trials(*args) == _walk_np.run_trials(*args)
 
     def test_walks_that_take_no_step(self):
-        offs = cycle_graph(5).neighbor_offsets()
-        for source, target, max_steps in ((2, 2, 50), (0, 2, 0)):
-            args = (5, offs, source, target, 100, 9, max_steps)
-            assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
+        # the numpy kernel is never asked for them: simulate_fpt refuses
+        # source == target and WalkConfig max_steps = 0; the spec still
+        # answers both, every trial ending at once, untruncated or truncated
+        g = cycle_graph(5)
+        with pytest.raises(ValueError, match="differ"):
+            simulate_fpt(g, 2, 2, WalkConfig(trials=100, seed=9))
+        with pytest.raises(ValueError, match="max_steps"):
+            WalkConfig(trials=100, seed=9, max_steps=0)
+        offs = g.neighbor_offsets()
+        assert _walk_py.run_trials(5, offs, 2, 2, 100, 9, 50) == (0, 0, 0)
+        assert _walk_py.run_trials(5, offs, 0, 2, 100, 9, 0) == (0, 0, 100)
 
     def test_rejecting_seed_rejects_first_draw(self):
         gamma, mask = _walk_py._GAMMA, (1 << 64) - 1
