@@ -3,8 +3,11 @@ docstring states the RNG contract; uint64 arithmetic wraps mod 2^64.
 
 A pool of BLOCK slots advances in lockstep.  A slot whose trial ends takes
 the next trial index and keeps the iteration it started at, so trials need
-not share a step count.  Once none is left to start and at most TAIL are
-live, the spec's `_walk_py._finish` runs each to its end, cheaper there.
+not share a step count.  Once none is left to start, such a slot retires in
+place: its start becomes int64 max, which no live trial holds, so it is
+never cut or oldest and no arrival of it counts.  Retired slots are dropped
+when at most half the pool is live and before the last TAIL live trials go
+to the spec's `_walk_py._finish`, cheaper there.
 
 A draw is reduced mod the degree in one pass (a mask) when the degree is a
 power of two, else in three (a division).  Finished trials' squared steps
@@ -69,12 +72,13 @@ def run_trials(
     # rem is 0 just when deg is a power of two, and then draw % deg is draw & (deg - 1)
     mask = None if rem else deg - np.uint64(1)
     threshold = np.uint64(-rem % (1 << 64))
-    size = min(BLOCK, trials)
+    size = live = min(BLOCK, trials)  # live: the slots not retired
     tmp = np.empty(size, dtype=np.uint64)
     draws = np.empty(size, dtype=np.uint64)
     state = np.empty(size, dtype=np.uint64)
     pos = np.empty(size, dtype=np.uint64)
     start = np.empty(size, dtype=np.int64)  # iteration at which each slot's trial started
+    never = np.iinfo(np.int64).max  # the start of a retired slot, which no live trial holds
     idle = np.arange(size)  # slots whose trial has ended
     total = total_sq = truncated = 0
     nxt, end = trial_offset, trial_offset + trials
@@ -89,15 +93,16 @@ def run_trials(
             pos[idle[:k]] = source
             start[idle[:k]] = it
             nxt += k
-        if k < idle.size:  # no trial left to start: close the other slots
-            keep = np.ones(pos.size, dtype=bool)
-            keep[idle[k:]] = False
-            live = np.flatnonzero(keep)
-            # one at a time, so that only one old array outlives its copy
-            state = state.take(live)
-            pos = pos.take(live)
-            start = start.take(live)
-        if nxt == end and pos.size <= TAIL:
+        if k < idle.size:  # no trial left to start: retire the other slots in place
+            start[idle[k:]] = never
+            live -= idle.size - k
+            if 2 * live <= pos.size or live <= TAIL:
+                keep = np.flatnonzero(start != never)
+                # one at a time, so that only one old array outlives its copy
+                state = state.take(keep)
+                pos = pos.take(keep)
+                start = start.take(keep)
+        if nxt == end and live <= TAIL:  # every slot left is live
             for s, p, b in zip(state.tolist(), pos.tolist(), start.tolist()):
                 steps, cut = _walk_py._finish(s, p, it - b, n, offsets, target, max_steps)
                 total += steps
@@ -134,8 +139,11 @@ def run_trials(
             cut = start == it - max_steps
             truncated += int(np.count_nonzero(cut & ~done))
             done |= cut
-        idle = np.flatnonzero(done)
+        idle = done.nonzero()[0]
+        if live < pos.size:  # a retired slot's arrival ends no trial
+            idle = idle[start[idle] != never]
         if idle.size:
-            steps = it - start[idle]
+            steps = start[idle]
+            np.subtract(it, steps, out=steps)
             total += int(steps.sum())
             total_sq += _square_sum(steps, it)  # every step count is at most it

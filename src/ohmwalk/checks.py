@@ -29,6 +29,7 @@ from .resistance import (
     rel_dev,
     resistance_numerators,
     resistance_report,
+    total_effective_resistance,
     two_point_resistance_radical,
 )
 from .spectral import (
@@ -130,6 +131,7 @@ def check_sequence_identities(n: int, tol: float) -> Measured:
         ok &= _resistance_numerator(ctx, l) == (xs[l], w_xs)
         ok &= resistance_gcd_bound(ctx, l) % math.gcd(xs[l], w) == 0
     ok &= 2 * n % math.gcd(n * u - w, w) == 0
+    ok &= math.gcd(*total_effective_resistance(n).as_integer_ratio()) == 1  # reduced by that bound
     for l in range(upto + 1):
         ok &= ps[l] ** 2 - d * bs[l] ** 2 == 4
         ok &= d * bs[l] ** 2 == ps[2 * l] - 2

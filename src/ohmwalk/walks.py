@@ -7,10 +7,10 @@ The oracle certifies instead of solving: it scales
 common denominator, by |E| and returns it only after the first-step
 equations hold exactly, in O(n) big-int operations at every n.
 
-The simulator runs `_walk_np`, a refilled pool of trials in numpy lockstep
-that hands its last few trials to the pure-Python spec `_walk_py`.  Every
-trial has its own substream and the tests hold the two to bit-for-bit equal
-sums, so results never depend on chunking, pool slots or execution order.
+The simulator runs `_walk_np`, a pool of trials in numpy lockstep whose slots
+are refilled, then retired in place; it hands its last few trials to the spec
+`_walk_py`.  Every trial has its own substream and the tests hold the two to
+bit-for-bit equal sums, so no result depends on chunking, slots or order.
 """
 
 from __future__ import annotations

@@ -237,6 +237,13 @@ CONTROLS = {
         scaled(resistance.total_effective_resistance, Fraction(10**7 + 1, 10**7)),
         at_every_n("eigentime"),
     ),
+    # reduced by 2 + n instead of its proved bound 2n: the float is right,
+    # the fraction is not in lowest terms at any odd n <= 61
+    "kirchhoff_bound_off": (
+        resistance.total_effective_resistance,
+        mutant(resistance.total_effective_resistance, "2 * n)", "2 + n)"),
+        at_every_n("sequence_identities"),
+    ),
     # three faults in markov_fpt's certificate, each of which makes it raise,
     # and a check that raises is a FAIL row, not a crash of the whole suite.
     # One candidate numerator off by one, at d = 1, where the table is scaled by |E|

@@ -583,6 +583,42 @@ class TestSimulate:
         assert expected[2] > 0
         assert any(handed < 300 and cut for handed, _, cut in handoffs)
 
+    # in the default pool 2000 trials at n = 51 refill no slot: from the
+    # first arrival on, every trial that ends retires its slot in place, the
+    # pool is compacted each time at most half of it is live, and
+    # max_steps = 60 cuts the ~600 trials still walking in an iteration that
+    # also retires arrivals; pools of 3 and 7 slots refill to the last trial
+    @pytest.mark.parametrize("block", [_walk_np.BLOCK, 3, 7])
+    def test_retirement_compaction_and_truncation_coincide(self, monkeypatch, block):
+        monkeypatch.setattr(_walk_np, "BLOCK", block)
+        args = _kernel_args(51, 25, 2000, 8, 60)
+        expected = _walk_py.run_trials(*args)
+        assert expected[2] > 0
+        assert _walk_np.run_trials(*args) == expected
+
+    # one trial past the pool: at the first arrivals one slot takes the last
+    # trial and the others retire, and the refilled slot must still count
+    @pytest.mark.parametrize("block", [_walk_np.BLOCK, 3, 7])
+    def test_one_trial_past_the_pool(self, monkeypatch, block):
+        monkeypatch.setattr(_walk_np, "BLOCK", block)
+        args = _kernel_args(7, 3, block + 1, 3, 4900)
+        assert _walk_np.run_trials(*args) == _walk_py.run_trials(*args)
+
+    def test_exactly_the_live_trials_are_handed_off(self, handoffs):
+        # every trial starts at iteration 0, so the handoff finds exactly the
+        # trials whose walks are longer than the iteration it comes at; a
+        # retired slot handed on would add a trial with a negative count
+        n, trials = 21, 2000
+        args = _kernel_args(n, 10, trials, 5, 4 * n * n)
+        per_trial = [_walk_py.run_trials(*args[:4], 1, args[5], args[6], t) for t in range(trials)]
+        handoffs.clear()
+        assert _walk_np.run_trials(*args) == tuple(map(sum, zip(*per_trial)))
+        handed = {steps for steps, _, _ in handoffs}
+        assert len(handed) == 1 and 0 < min(handed)
+        live = sorted(steps for steps, _, _ in per_trial if steps > min(handed))
+        assert sorted(end for _, end, _ in handoffs) == live
+        assert 0 < len(live) <= _walk_np.TAIL
+
     # KNOWN_ANSWERS[3] is left out: its live trials all end at max_steps = 10
     # in one iteration, so none is handed off
     @pytest.mark.parametrize("case, sums", KNOWN_ANSWERS[:3] + KNOWN_ANSWERS[4:])
